@@ -1,20 +1,11 @@
-"""Scalar-vs-columnar speedup benchmark (``BENCH_columnar.json``).
+"""v1-vs-v2 cold-load benchmark (``BENCH_columnar.json``).
 
-Times the hot paths the :mod:`repro.columnar` kernels vectorize —
-selection filtering, partition-id assignment, regular-structure
-singular→collective allocation, and the end-to-end extraction phase
-(``extract_sm_flow`` over NYC events, ``extract_raster_speed`` over
-Porto trajectories, each fed by a real select→convert pipeline) — with
-``use_columnar`` off vs on, over identical inputs, and records the
-speedups into ``BENCH_columnar.json``.  Every workload also cross-checks
-parity (identical selected identities / partition ids / cell contents /
-extracted features) so a timing row can never hide a wrong answer.
-
-The ``cold_load_*`` workloads time the storage layer instead: a full
+The ``cold_load_*`` workloads time the storage layer: a full
 metadata-pruned selection from *disk* over the same dataset written in
 the v1 (whole-partition pickle) and v2 (mmap columnar,
 :mod:`repro.stio.blockv2`) block formats, with every process-level cache
-dropped between runs.  ``cold_load_pruned`` uses a narrow query — the
+dropped between runs.  Each row first checks that both formats select
+identical instances.  ``cold_load_pruned`` uses a narrow query — the
 regime v2 exists for, where it unpickles only matching rows;
 ``cold_load_broad`` keeps most of the data and documents the worst case
 (per-row unpickling cannot beat one monolithic ``pickle.loads`` when
@@ -24,7 +15,8 @@ Run the full-size record (100k instances, sequential backend)::
 
     PYTHONPATH=src python benchmarks/bench_columnar.py
 
-CI smoke (small n, all backends, nonzero exit if columnar is slower)::
+CI smoke (small n, all backends, nonzero exit if v2 is slower on the
+pruned load)::
 
     PYTHONPATH=src python benchmarks/bench_columnar.py --smoke \
         --backends sequential,thread,process
@@ -41,25 +33,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core import Selector  # noqa: E402
-from repro.core.converters.base import AllocationStats, allocate  # noqa: E402
-from repro.core.converters.singular_to_collective import (  # noqa: E402
-    Event2SmConverter,
-    Traj2RasterConverter,
-)
-from repro.core.extractors.raster import RasterSpeedExtractor  # noqa: E402
-from repro.core.extractors.spatialmap import SmFlowExtractor  # noqa: E402
-from repro.core.structures import (  # noqa: E402
-    RasterStructure,
-    SpatialMapStructure,
-    TimeSeriesStructure,
-)
-from repro.datasets import (  # noqa: E402
-    PORTO_BBOX,
-    generate_nyc_events,
-    generate_porto_trajectories,
-)
+from repro.datasets import generate_nyc_events  # noqa: E402
 from repro.datasets.common import EPOCH_2013  # noqa: E402
-from repro.datasets.porto import PORTO_START  # noqa: E402
 from repro.engine import EngineContext  # noqa: E402
 from repro.geometry import Envelope  # noqa: E402
 from repro.partitioners import TSTRPartitioner  # noqa: E402
@@ -67,8 +42,8 @@ from repro.temporal import Duration  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The ST range every selection workload queries — covers the NYC
-#: hotspot band so the filter keeps a meaningful fraction of the input.
+#: The broad cold-load range — covers the NYC hotspot band so the filter
+#: keeps a meaningful fraction of the input.
 QUERY_SPATIAL = Envelope(-74.0, 40.7, -73.92, 40.78)
 QUERY_TEMPORAL = Duration(EPOCH_2013, EPOCH_2013 + 10 * 86_400.0)
 
@@ -76,13 +51,6 @@ QUERY_TEMPORAL = Duration(EPOCH_2013, EPOCH_2013 + 10 * 86_400.0)
 #: the regime the v2 pushdown targets (decode only matching rows).
 PRUNED_SPATIAL = Envelope(-73.99, 40.72, -73.96, 40.75)
 PRUNED_TEMPORAL = Duration(EPOCH_2013, EPOCH_2013 + 2 * 86_400.0)
-
-#: The trajectory extraction workload runs over Porto-shaped data — the
-#: paper's Figure 9 raster-speed case study.
-PORTO_SPATIAL = Envelope(
-    PORTO_BBOX.min_lon, PORTO_BBOX.min_lat, PORTO_BBOX.max_lon, PORTO_BBOX.max_lat
-)
-PORTO_TEMPORAL = Duration(PORTO_START, PORTO_START + 10 * 86_400.0)
 
 
 def _best_of(reps: int, fn) -> float:
@@ -96,114 +64,6 @@ def _best_of(reps: int, fn) -> float:
 
 def _identities(instances) -> list:
     return sorted(inst.identity() for inst in instances)
-
-
-def _bench_selection(ctx, events, reps, index, warm):
-    """Selector._filter scalar vs columnar; cold runs rebuild the index."""
-    from repro.columnar.cache import invalidate_partition_indexes
-
-    rdd = ctx.parallelize(events, ctx.default_parallelism).persist()
-    rdd.count()
-    results = {}
-    timings = {}
-    for columnar in (False, True):
-        selector = Selector(
-            QUERY_SPATIAL, QUERY_TEMPORAL, index=index, use_columnar=columnar
-        )
-
-        def run():
-            if not warm:
-                invalidate_partition_indexes()
-            return selector.select(ctx, rdd).collect()
-
-        if warm:
-            invalidate_partition_indexes()
-            run()  # populate the per-partition index cache
-        results[columnar] = _identities(run())
-        timings[columnar] = _best_of(reps, run)
-    if results[False] != results[True]:
-        raise AssertionError("selection parity violation: scalar != columnar")
-    return timings[False], timings[True]
-
-
-def _bench_partition_assign(events, reps):
-    """Fitted T-STR id assignment: scalar loop vs ``assign_batch``."""
-    partitioner = TSTRPartitioner(4, 4)
-    partitioner.fit(events[:: max(1, len(events) // 2_000)])
-    scalar = lambda: [partitioner.assign(inst) for inst in events]  # noqa: E731
-    columnar = lambda: partitioner.assign_batch(events)  # noqa: E731
-    if scalar() != list(columnar()):
-        raise AssertionError("partition-assign parity violation")
-    return _best_of(reps, scalar), _best_of(reps, columnar)
-
-
-def _bench_conversion_regular(events, reps):
-    """Regular-structure allocation: per-instance grid walk vs the
-    analytic batch range kernel."""
-    structure = TimeSeriesStructure.regular(QUERY_TEMPORAL, 96)
-    timings = {}
-    cells = {}
-    stats = {}
-    for columnar in (False, True):
-        st = AllocationStats()
-        cells[columnar] = allocate(
-            events, structure, method="regular", stats=st, use_columnar=columnar
-        )
-        stats[columnar] = st.snapshot()
-        timings[columnar] = _best_of(
-            reps,
-            lambda c=columnar: allocate(
-                events, structure, method="regular", use_columnar=c
-            ),
-        )
-    same_cells = all(
-        [id(i) for i in a] == [id(i) for i in b]
-        for a, b in zip(cells[False], cells[True])
-    )
-    if not same_cells or stats[False] != stats[True]:
-        raise AssertionError("conversion parity violation: scalar != columnar")
-    return timings[False], timings[True]
-
-
-def _bench_extraction(ctx, converted_parts, extractor_factory, reps):
-    """Extraction phase, scalar vs columnar, over a converted pipeline.
-
-    The workload is the paper's full select→convert→extract path; the
-    selection and conversion phases ran once up front (their scalar/
-    columnar comparison has its own rows above), so the timed section
-    isolates what ``use_columnar`` toggles here: the Extraction phase.
-    """
-    materialized = ctx.from_partitions(converted_parts)
-    features = {}
-    timings = {}
-    for columnar in (False, True):
-        extractor = extractor_factory()
-        extractor.use_columnar = columnar
-        features[columnar] = extractor.extract(materialized).cell_values()
-        timings[columnar] = _best_of(
-            reps, lambda e=extractor: e.extract(materialized)
-        )
-    if features[False] != features[True]:
-        raise AssertionError("extraction parity violation: scalar != columnar")
-    return timings[False], timings[True]
-
-
-def _extract_sm_flow_parts(ctx, events):
-    """select→convert partitions for the event flow extraction workload."""
-    structure = SpatialMapStructure.regular(QUERY_SPATIAL, 64, 64)
-    selected = Selector(QUERY_SPATIAL, QUERY_TEMPORAL).select(
-        ctx, ctx.parallelize(events, ctx.default_parallelism)
-    )
-    return Event2SmConverter(structure).convert(selected)._collect_partitions()
-
-
-def _extract_raster_speed_parts(ctx, trajectories):
-    """select→convert partitions for the raster-speed extraction workload."""
-    structure = RasterStructure.regular(PORTO_SPATIAL, PORTO_TEMPORAL, 8, 8, 40)
-    selected = Selector(PORTO_SPATIAL, PORTO_TEMPORAL).select(
-        ctx, ctx.parallelize(trajectories, ctx.default_parallelism)
-    )
-    return Traj2RasterConverter(structure).convert(selected)._collect_partitions()
 
 
 def _bench_cold_load(ctx, directories, reps, spatial, temporal):
@@ -225,36 +85,17 @@ def _bench_cold_load(ctx, directories, reps, spatial, temporal):
     return timings["v1"], timings["v2"]
 
 
-def run_backend(
-    backend: str,
-    events,
-    reps: int,
-    directories: dict[str, Path] | None = None,
-    trajectories=None,
-) -> list[dict]:
+def run_backend(backend: str, n: int, reps: int, directories: dict[str, Path]) -> list[dict]:
     ctx = EngineContext(default_parallelism=8, backend=backend)
     rows = []
 
-    def record(workload, pair, n=None):
-        scalar_s, columnar_s = pair
-        rows.append(
-            {
-                "workload": workload,
-                "backend": backend,
-                "n": len(events) if n is None else n,
-                "scalar_s": round(scalar_s, 6),
-                "columnar_s": round(columnar_s, 6),
-                "speedup": round(scalar_s / columnar_s, 2) if columnar_s else None,
-            }
-        )
-
-    def record_format(workload, pair):
+    def record(workload, pair):
         v1_s, v2_s = pair
         rows.append(
             {
                 "workload": workload,
                 "backend": backend,
-                "n": len(events),
+                "n": n,
                 "v1_s": round(v1_s, 6),
                 "v2_s": round(v2_s, 6),
                 "speedup": round(v1_s / v2_s, 2) if v2_s else None,
@@ -263,52 +104,13 @@ def run_backend(
 
     try:
         record(
-            "selection_filter",
-            _bench_selection(ctx, events, reps, index=True, warm=False),
+            "cold_load_pruned",
+            _bench_cold_load(ctx, directories, reps, PRUNED_SPATIAL, PRUNED_TEMPORAL),
         )
         record(
-            "selection_filter_warm",
-            _bench_selection(ctx, events, reps, index=True, warm=True),
+            "cold_load_broad",
+            _bench_cold_load(ctx, directories, reps, QUERY_SPATIAL, QUERY_TEMPORAL),
         )
-        # index=False compares a pure per-instance Python scan against the
-        # BoxTable mask kernel; warm because the table is extracted once
-        # per resident partition and cached (steady-state comparison).
-        record(
-            "selection_scan",
-            _bench_selection(ctx, events, reps, index=False, warm=True),
-        )
-        record("partition_assign", _bench_partition_assign(events, reps))
-        record("conversion_regular", _bench_conversion_regular(events, reps))
-        record(
-            "extract_sm_flow",
-            _bench_extraction(
-                ctx, _extract_sm_flow_parts(ctx, events), SmFlowExtractor, reps
-            ),
-        )
-        if trajectories is not None:
-            record(
-                "extract_raster_speed",
-                _bench_extraction(
-                    ctx,
-                    _extract_raster_speed_parts(ctx, trajectories),
-                    RasterSpeedExtractor,
-                    reps,
-                ),
-                n=len(trajectories),
-            )
-        if directories is not None:
-            record_format(
-                "cold_load_pruned",
-                _bench_cold_load(
-                    ctx, directories, reps, PRUNED_SPATIAL, PRUNED_TEMPORAL
-                ),
-            )
-            record_format(
-                "cold_load_broad",
-                _bench_cold_load(
-                    ctx, directories, reps, QUERY_SPATIAL, QUERY_TEMPORAL
-                ),
-            )
     finally:
         ctx.backend.stop()
     return rows
@@ -326,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small-n CI mode: exit nonzero if columnar is slower than scalar",
+        help="small-n CI mode: exit nonzero if v2 is slower than v1 on the pruned load",
     )
     parser.add_argument(
         "--tolerance",
@@ -346,12 +148,6 @@ def main(argv: list[str] | None = None) -> int:
 
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     events = generate_nyc_events(args.n, seed=101, days=30)
-    # Long trajectories (Porto-shaped) for the raster-speed extraction
-    # workload: the scalar path rescans every trajectory entry per cell,
-    # which is exactly the per-object cost the CellTable kernels remove.
-    trajectories = generate_porto_trajectories(
-        max(100, args.n // 50), seed=202, days=10, min_points=20, max_points=120
-    )
 
     import shutil
     import tempfile
@@ -373,15 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         results = []
         for backend in backends:
             print(f"[bench-columnar] backend={backend} n={args.n}", flush=True)
-            results.extend(
-                run_backend(
-                    backend,
-                    events,
-                    args.reps,
-                    directories,
-                    trajectories=trajectories,
-                )
-            )
+            results.extend(run_backend(backend, args.n, args.reps, directories))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -400,41 +188,27 @@ def main(argv: list[str] | None = None) -> int:
     width = max(len(r["workload"]) for r in results)
     failures = []
     for r in results:
-        if "v1_s" in r:
-            base_label, fast_label = "v1", "v2"
-            base_s, fast_s = r["v1_s"], r["v2_s"]
-        else:
-            base_label, fast_label = "scalar", "columnar"
-            base_s, fast_s = r["scalar_s"], r["columnar_s"]
         print(
             f"  {r['workload']:<{width}}  {r['backend']:<10}"
-            f"  {base_label:>6} {base_s * 1000:9.1f}ms"
-            f"  {fast_label:>8} {fast_s * 1000:9.1f}ms"
+            f"  v1 {r['v1_s'] * 1000:9.1f}ms  v2 {r['v2_s'] * 1000:9.1f}ms"
             f"  speedup {r['speedup']:6.2f}x"
         )
         # cold_load_broad is informational: when nearly every row
-        # survives, per-row unpickling has no pruning to win with.  The
-        # extraction rows are parity-gated (inside _bench_extraction) but
-        # speedup-informational at smoke size — a handful of instances
-        # per cell is dominated by timer noise, not kernel time.
-        informational = {"cold_load_broad", "extract_sm_flow", "extract_raster_speed"}
+        # survives, per-row unpickling has no pruning to win with.
         if (
             args.smoke
-            and r["workload"] not in informational
+            and r["workload"] != "cold_load_broad"
             and r["speedup"] < args.tolerance
         ):
-            failures.append((r, base_label, fast_label))
+            failures.append(r)
     print(f"[bench-columnar] wrote {args.out}")
-    if failures:
-        for r, base_label, fast_label in failures:
-            print(
-                f"[bench-columnar] FAIL: {r['workload']} on {r['backend']} "
-                f"{fast_label} slower than {base_label} "
-                f"({r['speedup']}x < {args.tolerance}x)",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    for r in failures:
+        print(
+            f"[bench-columnar] FAIL: {r['workload']} on {r['backend']} "
+            f"v2 slower than v1 ({r['speedup']}x < {args.tolerance}x)",
+            file=sys.stderr,
+        )
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

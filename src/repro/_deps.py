@@ -1,23 +1,12 @@
-"""Optional-dependency guards with actionable errors.
+"""Dependency guards with actionable errors.
 
-numpy is a declared install dependency (``pyproject.toml``), but the core
-pipeline deliberately runs without it — the columnar kernels and the
-:mod:`repro.ml` helpers are the only consumers.  Modules that hard-require
-numpy import it through :func:`require_numpy` so a missing install fails
+numpy is a declared install dependency (``pyproject.toml``).  Modules that
+need it import it through :func:`require_numpy` so a broken install fails
 with a message naming the feature and the fix instead of a bare
 ``ModuleNotFoundError: numpy`` deep inside a stage closure.
 """
 
 from __future__ import annotations
-
-
-def has_numpy() -> bool:
-    """True when numpy is importable (gates the columnar fast path)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def require_numpy(feature: str):
@@ -29,7 +18,6 @@ def require_numpy(feature: str):
             f"{feature} requires numpy, which is not installed. numpy is a "
             "declared dependency of this package (pyproject.toml: "
             "numpy>=1.24) — install the package with `pip install -e .` or "
-            "run `pip install 'numpy>=1.24'`. The scalar pipeline paths "
-            "(use_columnar=False) run without it."
+            "run `pip install 'numpy>=1.24'`."
         ) from exc
     return numpy

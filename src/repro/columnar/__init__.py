@@ -1,11 +1,8 @@
-"""Columnar fast path: structure-of-arrays kernels for the pipeline hot loops.
+"""Columnar kernels: the pipeline's hot loops as structure-of-arrays numpy.
 
-The scalar pipeline spends its time in per-object Python loops —
-``STBox.intersects`` per instance during selection, per-node calls during
-R-tree descent, per-instance partition-id assignment, per-cell loops
-during singular→collective allocation.  This package mirrors those loops
-as numpy kernels over a per-partition :class:`BoxTable` (six float64
-extent columns plus a row→instance indirection):
+Selection, routing, allocation and extraction run as numpy kernels over a
+per-partition :class:`BoxTable` (six float64 extent columns plus a
+row→instance indirection):
 
 * :meth:`BoxTable.intersects_box` — vectorized closed-interval ST-range
   predicate (the selection filter without an index);
@@ -20,16 +17,15 @@ extent columns plus a row→instance indirection):
   :class:`CellTable` partials built with scatter-add kernels and an
   :class:`AggSpec` per extractor, merged through ``RDD.tree_reduce``.
 
-Everything is gated on numpy being importable (:func:`available`) and on
-``use_columnar=True`` flags at the API surface; the scalar paths remain
-the semantics reference and the automatic fallback.  Exact geometry tests
-(LineString/Polygon containment, trajectory cell matching) always run
-scalar — the kernels only shrink the candidate set they run on.
+These are the only production paths; the per-instance loops they
+replaced live on as the test oracle the parity suites compare against.
+Exact geometry tests (LineString/Polygon containment, trajectory cell
+matching) run per instance — the kernels only shrink the candidate set
+they run on.
 """
 
 from __future__ import annotations
 
-from repro._deps import has_numpy
 from repro.columnar.aggregate import (
     AggSpec,
     CellTable,
@@ -46,16 +42,10 @@ from repro.columnar.cache import (
     invalidate_partition_indexes,
     partition_boxtable,
     partition_packed_tree,
-    partition_rtree,
     seed_partition_boxtable,
     selection_cache,
 )
 from repro.columnar.packed_rtree import PackedRTree, packed_tree_from_boxes
-
-
-def available() -> bool:
-    """True when the columnar kernels can run (numpy importable)."""
-    return has_numpy()
 
 
 def selection_index(partition: list, with_tree: bool, capacity: int = 32):
@@ -81,14 +71,12 @@ __all__ = [
     "PortionSpeedSpec",
     "TransitSpec",
     "WholeTrajSpeedSpec",
-    "available",
     "configure_selection_cache",
     "intersects_box",
     "invalidate_partition_indexes",
     "packed_tree_from_boxes",
     "partition_boxtable",
     "partition_packed_tree",
-    "partition_rtree",
     "seed_partition_boxtable",
     "selection_cache",
     "selection_index",

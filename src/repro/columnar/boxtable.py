@@ -9,9 +9,8 @@ instead of a Python loop over ``STBox`` objects.
 ``box_exact`` additionally marks the rows whose MBR *is* their shape
 (single-entry instances with Point or Envelope geometry): for those rows a
 box-intersection hit is already the exact selection predicate, so the
-scalar refinement pass can skip them entirely — the fallback contract of
-the columnar path is "exact tests still run scalar, but only on the
-vectorized candidate set, and only for rows that need them".
+per-instance refinement pass skips them: exact tests run only on the
+vectorized candidate set, and only for rows that need them.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ class BoxTable:
 
         Mirrors ``STBox.intersects`` (closed on every side), so a query
         value exactly on a row's boundary matches — the same semantics the
-        scalar selection filter and the metadata pruner share.
+        exact selection predicate and the metadata pruner share.
         """
         if box.ndim != 3:
             raise ValueError("BoxTable queries need a 3-d (x, y, t) box")

@@ -145,7 +145,6 @@ def allocate(
     structure: Structure,
     method: str = "auto",
     stats: AllocationStats | None = None,
-    use_columnar: bool = True,
 ) -> list[list[Instance]]:
     """Assign each instance to every structure cell it intersects.
 
@@ -154,59 +153,26 @@ def allocate(
     knob; exact refinement runs only when required (see
     :func:`_needs_exact`).
 
-    With ``use_columnar`` (and numpy importable) candidate enumeration is
-    batched through the :mod:`repro.columnar` kernels — identical cells,
-    identical :class:`AllocationStats`, one vectorized pass instead of a
-    per-instance ``candidate_cells`` call.
-    """
-    if use_columnar and instances:
-        from repro._deps import has_numpy
-
-        if has_numpy():
-            return _allocate_columnar(instances, structure, method, stats)
-    cells: list[list[Instance]] = [[] for _ in range(structure.n_cells)]
-    total_candidates = 0
-    total_exact = 0
-    total_alloc = 0
-    for inst in instances:
-        spatial = inst.spatial_extent
-        temporal = inst.temporal_extent
-        candidates = structure.candidate_cells(spatial, temporal, method)
-        if method == "naive":
-            total_candidates += structure.n_cells
-        else:
-            total_candidates += len(candidates)
-        if _needs_exact(inst, structure):
-            for cell in candidates:
-                total_exact += 1
-                geom, dur = _cell_bounds(structure, cell)
-                if _matches_cell(inst, geom, dur):
-                    cells[cell].append(inst)
-                    total_alloc += 1
-        else:
-            for cell in candidates:
-                cells[cell].append(inst)
-            total_alloc += len(candidates)
-    if stats is not None:
-        stats.add(len(instances), total_candidates, total_exact, total_alloc)
-    return cells
-
-
-def _allocate_columnar(
-    instances: Sequence[Instance],
-    structure: Structure,
-    method: str,
-    stats: AllocationStats | None,
-) -> list[list[Instance]]:
-    """Batched candidate enumeration behind :func:`allocate`.
-
     Extent extraction is one Python pass; candidates then come from the
     grid range kernel (regular), the packed R-tree (rtree), or a
     vectorized full scan (naive).  The per-instance allocation loop —
-    appends and, where :func:`_needs_exact` demands it, scalar geometry
-    refinement — is unchanged, so cell contents and stats match the
-    scalar path row for row.
+    appends and, where :func:`_needs_exact` demands it, exact geometry
+    refinement — runs in instance order, so each cell lists its instances
+    in input order.
     """
+    resolved = method
+    if resolved == "auto":
+        resolved = "regular" if structure.is_regular else "rtree"
+    if resolved not in ("regular", "rtree", "naive"):
+        raise ValueError(f"unknown allocation method {method!r}")
+    if resolved == "regular" and not structure.is_regular:
+        raise ValueError("regular method requires a regular structure")
+    cells: list[list[Instance]] = [[] for _ in range(structure.n_cells)]
+    if not instances:
+        if stats is not None:
+            stats.add(0, 0, 0, 0)
+        return cells
+
     import numpy as np
 
     n = len(instances)
@@ -219,17 +185,11 @@ def _allocate_columnar(
     for i, inst in enumerate(instances):
         x0[i], y0[i], t0[i], x1[i], y1[i], t1[i] = inst.st_bounds()
 
-    resolved = method
-    if resolved == "auto":
-        resolved = "regular" if structure.is_regular else "rtree"
-    cells: list[list[Instance]] = [[] for _ in range(structure.n_cells)]
     total_candidates = 0
     total_exact = 0
     total_alloc = 0
 
     if resolved == "regular":
-        if not structure.is_regular:
-            raise ValueError("regular method requires a regular structure")
         qmins, qmaxs = structure._batch_grid_arrays(np, x0, y0, t0, x1, y1, t1)
         firsts, lasts = structure._grid.candidate_ranges_batch(qmins, qmaxs)
         shape = structure._grid.shape
@@ -317,15 +277,13 @@ def _allocate_columnar(
 
         def candidates_of(i: int) -> list[int]:
             return tree.query_coords(qmins[i], qmaxs[i]).tolist()
-    elif resolved == "naive":
+    else:
         cmins, cmaxs = structure._cell_box_arrays()
         qmins, qmaxs = structure._batch_query_arrays(np, x0, y0, t0, x1, y1, t1)
 
         def candidates_of(i: int) -> list[int]:
             mask = np.all((cmins <= qmaxs[i]) & (cmaxs >= qmins[i]), axis=1)
             return np.nonzero(mask)[0].tolist()
-    else:
-        raise ValueError(f"unknown allocation method {method!r}")
 
     naive = resolved == "naive"
     n_cells = structure.n_cells
@@ -373,11 +331,9 @@ class ToCollectiveConverter:
         self,
         structure: Structure,
         method: str = "auto",
-        use_columnar: bool = True,
     ):
         self.structure = structure
         self.method = method
-        self.use_columnar = use_columnar
         self.stats = AllocationStats()
 
     def convert(
@@ -408,18 +364,12 @@ class ToCollectiveConverter:
             rdd = rdd.filter(_is_primary)
             if pre_map is not None:
                 rdd = rdd.map(pre_map)
-            from repro._deps import has_numpy
-
-            use_columnar = self.use_columnar and has_numpy()
             if self.method == "rtree" or (
                 self.method == "auto" and not self.structure.is_regular
             ):
                 # Build the cell index once on the "driver" and broadcast it,
                 # rather than rebuilding per executor (Section 4.2).
-                if use_columnar:
-                    self.structure.packed_rtree()
-                else:
-                    self.structure.rtree()
+                self.structure.packed_rtree()
             broadcast = rdd.ctx.broadcast(
                 self.structure, record_count=self.structure.n_cells
             )
@@ -428,9 +378,7 @@ class ToCollectiveConverter:
 
             def fill(partition: list) -> list:
                 structure = broadcast.value
-                cell_arrays = allocate(
-                    partition, structure, method, stats, use_columnar
-                )
+                cell_arrays = allocate(partition, structure, method, stats)
                 if agg is not None:
                     values = [agg(arr) for arr in cell_arrays]
                 else:

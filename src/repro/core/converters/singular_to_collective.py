@@ -27,14 +27,13 @@ class Event2TsConverter(ToCollectiveConverter):
         self,
         slots: Sequence[Duration] | TimeSeriesStructure,
         method: str = "auto",
-        use_columnar: bool = True,
     ):
         structure = (
             slots
             if isinstance(slots, TimeSeriesStructure)
             else TimeSeriesStructure(list(slots))
         )
-        super().__init__(structure, method, use_columnar)
+        super().__init__(structure, method)
 
 
 class Event2SmConverter(ToCollectiveConverter):
@@ -44,14 +43,13 @@ class Event2SmConverter(ToCollectiveConverter):
         self,
         geometries: Sequence[Geometry] | SpatialMapStructure,
         method: str = "auto",
-        use_columnar: bool = True,
     ):
         structure = (
             geometries
             if isinstance(geometries, SpatialMapStructure)
             else SpatialMapStructure(list(geometries))
         )
-        super().__init__(structure, method, use_columnar)
+        super().__init__(structure, method)
 
 
 class Event2RasterConverter(ToCollectiveConverter):
@@ -61,12 +59,11 @@ class Event2RasterConverter(ToCollectiveConverter):
         self,
         cells: Sequence[tuple[Geometry, Duration]] | RasterStructure,
         method: str = "auto",
-        use_columnar: bool = True,
     ):
         structure = (
             cells if isinstance(cells, RasterStructure) else RasterStructure(list(cells))
         )
-        super().__init__(structure, method, use_columnar)
+        super().__init__(structure, method)
 
 
 class Traj2TsConverter(ToCollectiveConverter):
@@ -76,14 +73,13 @@ class Traj2TsConverter(ToCollectiveConverter):
         self,
         slots: Sequence[Duration] | TimeSeriesStructure,
         method: str = "auto",
-        use_columnar: bool = True,
     ):
         structure = (
             slots
             if isinstance(slots, TimeSeriesStructure)
             else TimeSeriesStructure(list(slots))
         )
-        super().__init__(structure, method, use_columnar)
+        super().__init__(structure, method)
 
 
 class Traj2SmConverter(ToCollectiveConverter):
@@ -93,14 +89,13 @@ class Traj2SmConverter(ToCollectiveConverter):
         self,
         geometries: Sequence[Geometry] | SpatialMapStructure,
         method: str = "auto",
-        use_columnar: bool = True,
     ):
         structure = (
             geometries
             if isinstance(geometries, SpatialMapStructure)
             else SpatialMapStructure(list(geometries))
         )
-        super().__init__(structure, method, use_columnar)
+        super().__init__(structure, method)
 
 
 class Traj2RasterConverter(ToCollectiveConverter):
@@ -110,9 +105,8 @@ class Traj2RasterConverter(ToCollectiveConverter):
         self,
         cells: Sequence[tuple[Geometry, Duration]] | RasterStructure,
         method: str = "auto",
-        use_columnar: bool = True,
     ):
         structure = (
             cells if isinstance(cells, RasterStructure) else RasterStructure(list(cells))
         )
-        super().__init__(structure, method, use_columnar)
+        super().__init__(structure, method)

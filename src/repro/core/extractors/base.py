@@ -5,12 +5,20 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable
 
-from repro._deps import has_numpy
 from repro.engine.rdd import RDD
 from repro.geometry.base import Geometry
 from repro.instances.collective import CollectiveInstance
 from repro.obs.tracer import phase as _phase_span
 from repro.temporal.duration import Duration
+
+
+def _scalar_partial(spec: Any, tagged: tuple) -> CollectiveInstance:
+    """A tagged extraction partial in the scalar domain (tables demoted)."""
+    kind, payload = tagged
+    if kind == "scalar":
+        return payload
+    skeleton, table = payload
+    return skeleton.with_cell_values(spec.partials(table))
 
 
 class CustomExtractor:
@@ -57,26 +65,28 @@ class CellAggExtractor(ABC):
     the extracted features; the only cross-partition traffic is the tree
     reduce over per-partition partials, never the raw data.
 
-    Two execution paths share one reduce topology (per-partition
-    sequential fold, then the balanced pairwise tree of
-    :meth:`~repro.engine.rdd.RDD.tree_reduce`), so their results are
-    bit-identical:
+    Each partition premerges into one partial, then the partials meet in
+    the balanced adjacent pairing of
+    :meth:`~repro.engine.rdd.RDD.tree_reduce`.  A partition's partial is a
+    :class:`~repro.columnar.aggregate.CellTable` built by the subclass's
+    :meth:`agg_spec` kernels.  It falls back to a scalar partial — per-cell
+    ``local``/``merge`` in Python — only where no kernel covers the
+    semantics exactly:
 
-    * the scalar path runs ``local``/``merge`` per cell in Python;
-    * when ``use_columnar`` is on, numpy is importable and the subclass
-      declares an :meth:`agg_spec`, partitions instead build
-      :class:`~repro.columnar.aggregate.CellTable` partials with
-      vectorized kernels.  A partition whose input the spec cannot
-      vectorize exactly falls back to a scalar partial; mixed partials
-      merge by demoting the columnar side through
-      :meth:`~repro.columnar.aggregate.AggSpec.partials`.
+    * the extractor declares no :meth:`agg_spec`;
+    * a trajectory entry spans a time interval rather than an instant
+      (the speed kernels model entry times as points);
+    * a transit cell is not an :class:`~repro.geometry.Envelope`.
+
+    A table meeting a scalar partial is demoted through
+    :meth:`~repro.columnar.aggregate.AggSpec.partials` (bit-exact), so the
+    features never depend on which partitions fell back.
 
     ``reduce_depth`` is the tree-stage knob of ``tree_reduce`` — it moves
     merge rounds between workers and the driver without changing the
     pairing, so features never depend on it.
     """
 
-    use_columnar: bool = True
     reduce_depth: int = 2
 
     @abstractmethod
@@ -95,14 +105,14 @@ class CellAggExtractor(ABC):
         """Columnar compilation of this extractor's local/merge/finalize.
 
         Subclasses return an :class:`~repro.columnar.aggregate.AggSpec`
-        to enable the vectorized path; ``None`` (the default) keeps the
-        extractor scalar-only.
+        to enable the vectorized partials; ``None`` (the default) keeps
+        every partial scalar.
         """
         return None
 
     def extract(self, rdd: RDD) -> CollectiveInstance:
         """Run this extraction on the RDD (see class docstring)."""
-        spec = self.agg_spec() if self.use_columnar and has_numpy() else None
+        spec = self.agg_spec()
         # ``tree_reduce`` is an action, so the phase span brackets real
         # work (plus any still-lazy upstream lineage) without extra
         # forcing.
@@ -112,10 +122,7 @@ class CellAggExtractor(ABC):
                 tracer.counters.get("stage_oob_bytes", 0) if tracer is not None else 0
             )
             stats: dict = {}
-            if spec is None:
-                result = self._reduce_scalar(rdd, stats)
-            else:
-                result = self._reduce_columnar(rdd, spec, stats)
+            result = self._reduce(rdd, spec, stats)
             if tracer is not None:
                 oob = tracer.counters.get("stage_oob_bytes", 0) - oob_before
                 partials = stats.get("partials", 0)
@@ -135,78 +142,53 @@ class CellAggExtractor(ABC):
                     )
             return result
 
-    def _reduce_scalar(self, rdd: RDD, stats: dict) -> CollectiveInstance:
-        """The per-cell Python path: premerge per partition, then tree."""
-        local = self.local
-        merge = self.merge
+    def _premerge(self, spec: Any, strip: bool) -> Callable[[list], list]:
+        """The per-partition premerge shared by ``extract`` and
+        ``extract_partials``: one tagged partial per non-empty partition.
 
-        def premerge(instances: list) -> list:
-            acc = None
-            for inst in instances:
-                partial = inst.map_value_plus(local)
-                acc = partial if acc is None else acc.merge_with(partial, merge)
-            return [] if acc is None else [acc]
-
-        merged = rdd.map_partitions(premerge).tree_reduce(
-            lambda a, b: a.merge_with(b, merge),
-            depth=self.reduce_depth,
-            stats=stats,
-        )
-        return merged.map_value(self.finalize)
-
-    def _reduce_columnar(self, rdd: RDD, spec: Any, stats: dict) -> CollectiveInstance:
-        """The vectorized path: CellTable partials with scalar fallback.
-
-        Partials travel tagged — ``("table", (skeleton, CellTable))`` or
-        ``("scalar", partial_instance)`` — where the skeleton carries the
+        Partials are ``("table", (skeleton, CellTable))`` or
+        ``("scalar", partial_instance)``, where the skeleton carries the
         cell structure needed to rebuild (or demote to) a collective
-        instance.  On backends that serialize tasks the skeleton is
-        stripped of its cell arrays first; elsewhere it is the
-        partition's first instance by reference, which costs nothing.
+        instance.  With ``strip`` (backends that serialize tasks) the
+        skeleton is stripped of its cell arrays first; otherwise it is
+        the partition's first instance by reference, which costs nothing.
         """
         local = self.local
         merge = self.merge
-        strip = rdd.ctx.backend.requires_serializable_tasks
 
         def premerge(instances: list) -> list:
-            table = None
-            for inst in instances:
-                built = spec.build(inst)
-                if built is None:
-                    # This partition cannot vectorize exactly: fall back
-                    # to one scalar partial for the whole partition.
-                    acc = None
-                    for fallback in instances:
-                        partial = fallback.map_value_plus(local)
-                        acc = (
-                            partial
-                            if acc is None
-                            else acc.merge_with(partial, merge)
-                        )
-                    return [("scalar", acc)]
-                table = built if table is None else table.merge(built)
-            if table is None:
+            if not instances:
                 return []
-            skeleton = instances[0]
-            if strip:
-                skeleton = skeleton.with_cell_values([None] * skeleton.n_cells)
-            return [("table", (skeleton, table))]
+            if spec is not None:
+                table = None
+                for inst in instances:
+                    built = spec.build(inst)
+                    if built is None:
+                        break  # not vectorizable: scalar partial below
+                    table = built if table is None else table.merge(built)
+                else:
+                    skeleton = instances[0]
+                    if strip:
+                        skeleton = skeleton.with_cell_values([None] * skeleton.n_cells)
+                    return [("table", (skeleton, table))]
+            acc = instances[0].map_value_plus(local)
+            for inst in instances[1:]:
+                acc = acc.merge_with(inst.map_value_plus(local), merge)
+            return [("scalar", acc)]
+
+        return premerge
+
+    def _reduce(self, rdd: RDD, spec: Any, stats: dict) -> CollectiveInstance:
+        """Premerge per partition, then ``tree_reduce`` the partials."""
+        merge = self.merge
+        premerge = self._premerge(spec, rdd.ctx.backend.requires_serializable_tasks)
 
         def pair_merge(a: tuple, b: tuple) -> tuple:
-            kind_a, pa = a
-            kind_b, pb = b
-            if kind_a == "table" and kind_b == "table":
-                (skeleton, ta), (_, tb) = pa, pb
+            if a[0] == "table" and b[0] == "table":
+                (skeleton, ta), (_, tb) = a[1], b[1]
                 return ("table", (skeleton, ta.merge(tb)))
-            if kind_a == "table":
-                skeleton, ta = pa
-                demoted = skeleton.with_cell_values(spec.partials(ta))
-                return ("scalar", demoted.merge_with(pb, merge))
-            if kind_b == "table":
-                skeleton, tb = pb
-                demoted = skeleton.with_cell_values(spec.partials(tb))
-                return ("scalar", pa.merge_with(demoted, merge))
-            return ("scalar", pa.merge_with(pb, merge))
+            merged = _scalar_partial(spec, a).merge_with(_scalar_partial(spec, b), merge)
+            return ("scalar", merged)
 
         kind, payload = rdd.map_partitions(premerge).tree_reduce(
             pair_merge, depth=self.reduce_depth, stats=stats
@@ -225,12 +207,11 @@ class CellAggExtractor(ABC):
     def extract_partials(self, rdd: RDD) -> list[CollectiveInstance]:
         """Per-partition *unfinalized* partials, in partition order.
 
-        The streaming half of :meth:`extract`: each partition premerges
-        into one partial collective instance exactly as the batch path
-        does — the columnar fast path included, demoted to the scalar
-        partial domain through ``spec.partials`` (bit-exact by the
-        mixed-partial contract) — but instead of tree-reducing to one
-        value, the partials come back as a list the caller can bank.
+        The streaming half of :meth:`extract`: the same per-partition
+        premerge, with table partials demoted to the scalar partial
+        domain through ``spec.partials`` (bit-exact by the mixed-partial
+        contract) — but instead of tree-reducing to one value, the
+        partials come back as a list the caller can bank.
         :meth:`merge_partials` over partials accumulated across any
         number of incremental runs replays :meth:`~repro.engine.rdd.RDD.tree_reduce`'s
         exact pairing, so the final features are bit-identical to one
@@ -240,29 +221,13 @@ class CellAggExtractor(ABC):
         Empty partitions contribute no partial (matching ``tree_reduce``,
         which drops them).
         """
-        spec = self.agg_spec() if self.use_columnar and has_numpy() else None
-        local = self.local
-        merge = self.merge
-
-        def premerge(instances: list) -> list:
-            if spec is not None:
-                table = None
-                vectorized = True
-                for inst in instances:
-                    built = spec.build(inst)
-                    if built is None:
-                        vectorized = False
-                        break
-                    table = built if table is None else table.merge(built)
-                if vectorized and table is not None:
-                    return [instances[0].with_cell_values(spec.partials(table))]
-            acc = None
-            for inst in instances:
-                partial = inst.map_value_plus(local)
-                acc = partial if acc is None else acc.merge_with(partial, merge)
-            return [] if acc is None else [acc]
-
-        return [p[0] for p in rdd.map_partitions(premerge)._collect_partitions() if p]
+        spec = self.agg_spec()
+        premerge = self._premerge(spec, rdd.ctx.backend.requires_serializable_tasks)
+        return [
+            _scalar_partial(spec, p[0])
+            for p in rdd.map_partitions(premerge)._collect_partitions()
+            if p
+        ]
 
     def merge_partials(self, partials: list) -> CollectiveInstance:
         """Partial list → finalized features, via ``tree_reduce``'s pairing.

@@ -256,18 +256,15 @@ class RTree(Generic[T]):
         return results
 
     def query_batch(self, boxes: Sequence[STBox]) -> list[list[T]]:
-        """``query`` for many boxes at once, vectorized when numpy is up.
+        """``query`` for many boxes at once, vectorized.
 
-        With numpy available the tree lazily builds (and caches) a packed
-        array mirror of its leaf entries and answers every box with
-        level-at-a-time array intersections; probe counts are folded back
-        into ``self.stats`` (``candidates`` matches the scalar path
-        exactly; node/entry test counts reflect the packed tree's shape).
-        Without numpy this is a plain loop over :meth:`query`.
+        The tree lazily builds (and caches) a packed array mirror of its
+        leaf entries and answers every box with level-at-a-time array
+        intersections; probe counts are folded back into ``self.stats``
+        (``candidates`` matches :meth:`query` exactly; node/entry test
+        counts reflect the packed tree's shape).
         """
-        from repro._deps import has_numpy
-
-        if self._root is None or not has_numpy():
+        if self._root is None:
             return [self.query(box) for box in boxes]
         packed = self._packed_mirror
         if packed is None:

@@ -67,8 +67,8 @@ class HashPartitioner(STPartitioner):
         ``stable_hash`` digests a pickled canonical key per record; there
         is no array form of that, and inventing one would silently change
         every record's placement.  The override exists to document the
-        choice: hash routing gains nothing from the columnar path but must
-        stay bit-identical to the scalar one.
+        choice: hash routing gains nothing from a vectorized kernel but
+        must stay bit-identical to :meth:`assign`.
         """
         self._require_fitted()
         key_func = self._key_func

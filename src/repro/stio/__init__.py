@@ -19,7 +19,7 @@ filesystem:
 
 from repro.stio.blockv2 import V2Block, encode_v2_block, open_v2_block, scan_v2_block
 from repro.stio.metadata import BLOCK_FORMATS, DatasetMetadata, PartitionMeta
-from repro.stio.dataset import StDataset, load_dataset, save_dataset
+from repro.stio.dataset import NonFiniteRecordError, StDataset, load_dataset, save_dataset
 from repro.stio.formats import (
     decode_record,
     encode_record,
@@ -30,6 +30,7 @@ from repro.stio.formats import (
 __all__ = [
     "BLOCK_FORMATS",
     "DatasetMetadata",
+    "NonFiniteRecordError",
     "PartitionMeta",
     "StDataset",
     "save_dataset",

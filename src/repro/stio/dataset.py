@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -26,6 +27,36 @@ from repro.temporal.duration import Duration
 if TYPE_CHECKING:  # pragma: no cover
     from repro.partitioners.base import STPartitioner
     from repro.stream.ingest import IngestReport
+
+
+class NonFiniteRecordError(ValueError):
+    """A record with a ±inf coordinate or timestamp reached a write.
+
+    Raised before any block or metadata is written: an infinite extent
+    would widen its partition's recorded bounds to infinity, and metadata
+    pruning could then never exclude that partition.  (NaN is already
+    rejected by ``Point``/``Envelope``/``Duration``.)
+    """
+
+
+def _require_finite(partitions: Sequence[Sequence], bounds: Sequence[STBox]) -> None:
+    """Raise :class:`NonFiniteRecordError` if any record is non-finite.
+
+    A block's merged MBR is finite exactly when every record's is, so
+    only the bounds of non-empty blocks — computed for the metadata
+    anyway — are checked; the offending record is located only on
+    failure.
+    """
+    for i, (records, box) in enumerate(zip(partitions, bounds)):
+        if records and not all(map(math.isfinite, box.mins + box.maxs)):
+            bad = next(
+                (r for r in records if not all(map(math.isfinite, r.st_bounds()))),
+                None,
+            )
+            raise NonFiniteRecordError(
+                f"partition {i} holds a record with an infinite coordinate or "
+                f"timestamp ({bad!r}); nothing was written"
+            )
 
 
 @dataclass
@@ -343,13 +374,21 @@ class StDataset:
         Per-partition bounds recorded in the metadata are the MBRs of the
         *actual* records (tight pruning); ``boundaries`` — the theoretical
         partitioner cells — are accepted for API parity but only used for
-        partitions that hold no records.
+        partitions that hold no records.  A record with an infinite
+        coordinate or timestamp raises :class:`NonFiniteRecordError`
+        before anything is written.
         """
         if block_format not in BLOCK_FORMATS:
             raise ValueError(
                 f"unknown block format {block_format!r} "
                 f"(supported: {', '.join(BLOCK_FORMATS)})"
             )
+        partitions = list(partitions)
+        bounds = [
+            cls._block_bounds(records, boundaries, i, codec)
+            for i, records in enumerate(partitions)
+        ]
+        _require_finite(partitions, bounds)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         # Rewriting an existing dataset in place (re-index / repartition /
@@ -374,8 +413,9 @@ class StDataset:
             (directory / filename).write_bytes(
                 cls._encode_block(records, codec, block_format)
             )
-            bounds = cls._block_bounds(records, boundaries, i, codec)
-            metas.append(PartitionMeta(filename=filename, count=len(records), bounds=bounds))
+            metas.append(
+                PartitionMeta(filename=filename, count=len(records), bounds=bounds[i])
+            )
         DatasetMetadata(
             instance_type=instance_type,
             partitions=metas,
@@ -433,9 +473,16 @@ class StDataset:
         computed.  ``watermark``, when given, is the batch's high-water
         mark; the merge keeps the max of it and the dataset's existing
         mark, and the whole commit (partitions + generation + watermark)
-        is one atomic metadata replace.
+        is one atomic metadata replace.  Non-finite records are rejected
+        as in :meth:`write`, before any block lands.
         """
         existing = self.metadata()
+        partitions = list(partitions)
+        bounds = [
+            self._block_bounds(records, boundaries, i, existing.codec)
+            for i, records in enumerate(partitions)
+        ]
+        _require_finite(partitions, bounds)
         offset = len(existing.partitions)
         pattern = self.BLOCK_PATTERNS[existing.block_format]
         new_metas = []
@@ -444,9 +491,8 @@ class StDataset:
             (self.directory / filename).write_bytes(
                 self._encode_block(records, existing.codec, existing.block_format)
             )
-            bounds = self._block_bounds(records, boundaries, i, existing.codec)
             new_metas.append(
-                PartitionMeta(filename=filename, count=len(records), bounds=bounds)
+                PartitionMeta(filename=filename, count=len(records), bounds=bounds[i])
             )
         merged = existing.merged_with(
             DatasetMetadata(

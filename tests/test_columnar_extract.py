@@ -1,12 +1,14 @@
-"""Scalar-vs-columnar extraction parity and the worker-side tree reduce.
+"""Columnar extraction vs the per-cell oracle, and the worker-side tree reduce.
 
 The columnar extraction contract mirrors the selection/conversion one:
-*bit-for-bit agreement* with the scalar ``local``/``merge``/``finalize``
-path.  Both paths share a single deterministic reduce topology
-(per-partition left fold, then balanced adjacent pairing), so the
-comparisons below use plain ``==`` — no tolerances — over randomized
-inputs, empty cells, single partitions, duplicate-mode boundary replicas,
-partial scalar fallbacks (demotion), and all three execution backends.
+*bit-for-bit agreement* with the per-cell ``local``/``merge``/``finalize``
+oracle (:func:`tests.oracles.extract`).  Both share a single deterministic
+reduce topology (per-partition left fold, then balanced adjacent
+pairing), so the comparisons below use plain ``==`` — no tolerances —
+over randomized inputs, empty cells, single partitions, duplicate-mode
+boundary replicas, scalar partials (extractors without a spec and
+inputs no kernel covers), mixed table/scalar partials, and all three
+execution backends.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.obs.tracer import Tracer, installed
 from repro.partitioners import TSTRPartitioner
 from repro.temporal import Duration
 
+from . import oracles
 from .conftest import make_events, make_trajectories
 
 ALL_BACKENDS = ["sequential", "thread", "process"]
@@ -62,13 +65,18 @@ def _structures():
 
 
 def _both_paths(ctx, converted, extractor):
-    """(scalar features, columnar features) off the same converted RDD."""
+    """(oracle features, production features) off the same converted RDD."""
     materialized = ctx.from_partitions(converted._collect_partitions())
-    extractor.use_columnar = False
-    scalar = extractor.extract(materialized).cell_values()
-    extractor.use_columnar = True
+    scalar = oracles.extract(extractor, materialized).cell_values()
     columnar = extractor.extract(materialized).cell_values()
     return scalar, columnar
+
+
+class _NoSpecFlow(SmFlowExtractor):
+    """An extractor without an ``agg_spec``: every partial stays scalar."""
+
+    def agg_spec(self):
+        return None
 
 
 def _event_cases(events):
@@ -77,6 +85,7 @@ def _event_cases(events):
         (Event2SmConverter(sm), SmFlowExtractor()),
         (Event2TsConverter(ts), TsFlowExtractor()),
         (Event2RasterConverter(raster), RasterFlowExtractor()),
+        (Event2SmConverter(sm), _NoSpecFlow()),
     ]
 
 
@@ -234,6 +243,30 @@ class TestScalarFallbackAndDemotion:
         scalar, columnar = _both_paths(ctx, converted, TsSpeedExtractor())
         assert columnar == scalar
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_partials_and_empty_partitions_match_oracle(self, backend):
+        # Table, empty and scalar partitions side by side: ``extract`` and
+        # the streaming ``extract_partials`` + ``merge_partials`` both
+        # skip the empty one and match the oracle bit for bit.
+        _, ts, _ = _structures()
+        vectorizable = make_trajectories(8, seed=3)
+        fallback = [self._interval_trajectory(0.2 * i) for i in range(3)]
+        ctx = EngineContext(default_parallelism=3, backend=backend)
+        try:
+            converted = Traj2TsConverter(ts).convert(
+                ctx.from_partitions([vectorizable, fallback, make_trajectories(5, seed=9)])
+            )
+            parts = converted._collect_partitions()
+            rdd = ctx.from_partitions([parts[0], [], parts[1], parts[2]])
+            extractor = TsSpeedExtractor()
+            expected = oracles.extract(extractor, rdd).cell_values()
+            assert extractor.extract(rdd).cell_values() == expected
+            partials = extractor.extract_partials(rdd)
+            assert len(partials) == 3
+            assert extractor.merge_partials(partials).cell_values() == expected
+        finally:
+            ctx.backend.stop()
+
 
 class TestTreeReduce:
     def test_matches_reduce_and_is_depth_invariant(self):
@@ -314,21 +347,19 @@ class TestObsCounters:
     def test_extraction_span_carries_reduce_counters(self):
         events = make_events(200)
         sm, _, _ = _structures()
-        for use_columnar in (True, False):
+        for extractor, has_spec in ((SmFlowExtractor(), True), (_NoSpecFlow(), False)):
             tracer = Tracer()
             ctx = EngineContext(
                 default_parallelism=4, backend="sequential", tracer=tracer
             )
             converted = Event2SmConverter(sm).convert(ctx.parallelize(events, 4))
-            extractor = SmFlowExtractor()
-            extractor.use_columnar = use_columnar
             extractor.extract(ctx.from_partitions(converted._collect_partitions()))
             counters = tracer.counters
             assert counters["extract_partials_merged"] == 4
             assert counters["extract_cells_aggregated"] == 4 * sm.n_cells
             assert counters["extract_tree_depth"] == 2  # 4 -> 2 -> 1
             span = next(s for s in tracer.spans if s.name == "Extraction")
-            assert span.args["columnar"] is use_columnar
+            assert span.args["columnar"] is has_spec
             assert span.args["partials_merged"] == 4
 
     def test_process_backend_reports_oob_bytes(self):

@@ -1,12 +1,13 @@
-"""Property-based parity: columnar kernels vs the scalar reference paths.
+"""Property-based parity: columnar kernels vs the per-instance oracle.
 
 The columnar subsystem's contract is *bit-for-bit agreement* with the
-scalar implementations it accelerates: identical selected instance sets,
-identical allocation cells, identical ``AllocationStats`` /
-``RTreeStats.candidates`` counts — on randomized boxes, on queries that
-sit exactly on cell boundaries (closed-interval semantics), and under
+per-instance loops it replaced (kept in :mod:`tests.oracles`): identical
+selected instance sets, identical allocation cells, identical
+``AllocationStats`` / ``RTreeStats.candidates`` counts — on randomized
+boxes, on queries that sit exactly on cell boundaries (closed-interval
+semantics), on empty partitions and empty inputs, and under
 ``duplicate=True`` replica fan-out.  These tests exercise each kernel
-against its scalar twin, then the full selection pipeline on all three
+against its oracle, then the full selection pipeline on all three
 execution backends.
 """
 
@@ -33,7 +34,7 @@ from repro.geometry import Envelope
 from repro.index.boxes import STBox
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
-from repro.instances import Event
+from repro.instances import Event, Trajectory
 from repro.partitioners import (
     HashPartitioner,
     STRPartitioner,
@@ -42,6 +43,7 @@ from repro.partitioners import (
 )
 from repro.temporal import Duration
 
+from . import oracles
 from .conftest import make_events, make_trajectories
 
 ALL_BACKENDS = ["sequential", "thread", "process"]
@@ -201,59 +203,89 @@ def _cell_data(cells):
     return [[inst.identity() for inst in cell] for cell in cells]
 
 
+STRUCTURES = [
+    TimeSeriesStructure.regular(Duration(0, 86_400), 24),
+    TimeSeriesStructure([Duration(0, 10_000), Duration(10_000, 86_400)]),
+    SpatialMapStructure.regular(Envelope(0, 0, 10, 10), 4, 3),
+    SpatialMapStructure(Envelope(0, 0, 10, 10).split(3, 2)),
+    RasterStructure.regular(Envelope(0, 0, 10, 10), Duration(0, 86_400), 3, 3, 4),
+    RasterStructure.of_product(
+        Envelope(0, 0, 10, 10).split(2, 2), Duration(0, 86_400).split(3)
+    ),
+]
+STRUCTURE_IDS = [
+    "ts-regular", "ts-irregular", "sm-regular", "sm-irregular", "raster-regular", "raster-irregular"
+]
+
+
+def _assert_allocation_matches(instances, structure, method):
+    oracle_stats = AllocationStats()
+    columnar_stats = AllocationStats()
+    expected = oracles.allocate(instances, structure, method, oracle_stats)
+    columnar = allocate(instances, structure, method, columnar_stats)
+    assert _cell_data(columnar) == _cell_data(expected)
+    assert columnar_stats.snapshot() == oracle_stats.snapshot()
+    return columnar
+
+
 class TestAllocateParity:
-    @pytest.mark.parametrize(
-        "structure",
-        [
-            TimeSeriesStructure.regular(Duration(0, 86_400), 24),
-            TimeSeriesStructure([Duration(0, 10_000), Duration(10_000, 86_400)]),
-            SpatialMapStructure.regular(Envelope(0, 0, 10, 10), 4, 3),
-            SpatialMapStructure(Envelope(0, 0, 10, 10).split(3, 2)),
-            RasterStructure.regular(Envelope(0, 0, 10, 10), Duration(0, 86_400), 3, 3, 4),
-            RasterStructure.of_product(
-                Envelope(0, 0, 10, 10).split(2, 2), Duration(0, 86_400).split(3)
-            ),
-        ],
-        ids=["ts-regular", "ts-irregular", "sm-regular", "sm-irregular", "raster-regular", "raster-irregular"],
-    )
+    @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
     @pytest.mark.parametrize("method", ["auto", "rtree", "naive"])
     def test_cells_and_stats_match(self, structure, method):
-        instances = make_events(60) + make_trajectories(10)
-        scalar_stats = AllocationStats()
-        columnar_stats = AllocationStats()
-        scalar = allocate(instances, structure, method, scalar_stats, use_columnar=False)
-        columnar = allocate(instances, structure, method, columnar_stats, use_columnar=True)
-        assert _cell_data(columnar) == _cell_data(scalar)
-        assert columnar_stats.snapshot() == scalar_stats.snapshot()
+        _assert_allocation_matches(
+            make_events(60) + make_trajectories(10), structure, method
+        )
+
+    @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
+    @pytest.mark.parametrize("method", ["auto", "rtree", "naive", "regular"])
+    def test_empty_input_matches(self, structure, method):
+        if method == "regular" and not structure.is_regular:
+            pytest.skip("regular method needs a regular structure")
+        cells = _assert_allocation_matches([], structure, method)
+        assert cells == [[] for _ in range(structure.n_cells)]
+
+    @given(event_sets(min_size=0))
+    @settings(max_examples=30, deadline=None)
+    def test_random_events_all_methods(self, events):
+        structure = RasterStructure.regular(
+            Envelope(-50, -50, 50, 50), Duration(0, 1000), 4, 4, 5
+        )
+        for method in ("auto", "rtree", "naive", "regular"):
+            _assert_allocation_matches(events, structure, method)
 
     def test_regular_method_on_regular_structure(self):
         structure = TimeSeriesStructure.regular(Duration(0, 86_400), 24)
-        instances = make_events(40)
-        s1, s2 = AllocationStats(), AllocationStats()
-        scalar = allocate(instances, structure, "regular", s1, use_columnar=False)
-        columnar = allocate(instances, structure, "regular", s2, use_columnar=True)
-        assert _cell_data(columnar) == _cell_data(scalar)
-        assert s1.snapshot() == s2.snapshot()
+        _assert_allocation_matches(make_events(40), structure, "regular")
 
     def test_regular_method_rejected_on_irregular(self):
         structure = SpatialMapStructure(Envelope(0, 0, 10, 10).split(3, 2))
         with pytest.raises(ValueError, match="regular method"):
-            allocate(make_events(5), structure, "regular", use_columnar=True)
+            allocate(make_events(5), structure, "regular")
+        with pytest.raises(ValueError, match="regular method"):
+            oracles.allocate(make_events(5), structure, "regular")
 
     def test_unknown_method_rejected(self):
         structure = TimeSeriesStructure.regular(Duration(0, 86_400), 4)
         with pytest.raises(ValueError, match="unknown allocation method"):
-            allocate(make_events(5), structure, "bogus", use_columnar=True)
+            allocate(make_events(5), structure, "bogus")
+        with pytest.raises(ValueError, match="unknown allocation method"):
+            oracles.allocate(make_events(5), structure, "bogus")
 
     def test_boundary_sitting_events(self):
         # Events exactly on cell edges must land in both neighbors on both
         # paths (closed-interval grids).
         structure = SpatialMapStructure.regular(Envelope(0, 0, 10, 10), 4, 4)
         events = [Event.of_point(2.5, 5.0, 100.0, data=0), Event.of_point(0.0, 0.0, 0.0, data=1)]
-        scalar = allocate(events, structure, "auto", use_columnar=False)
-        columnar = allocate(events, structure, "auto", use_columnar=True)
-        assert _cell_data(columnar) == _cell_data(scalar)
+        columnar = _assert_allocation_matches(events, structure, "auto")
         assert sum(len(c) for c in columnar) == 5  # edge event in 4 cells, corner in 1
+
+
+PARTITIONERS = {
+    "tstr": lambda: TSTRPartitioner(3, 4),
+    "str": lambda: STRPartitioner(6),
+    "tbalance": lambda: TBalancePartitioner(4),
+    "hash": lambda: HashPartitioner(7),
+}
 
 
 class TestAssignBatchParity:
@@ -283,6 +315,37 @@ class TestAssignBatchParity:
         p = HashPartitioner(7)
         p.fit(events)
         assert p.assign_batch(events) == [p.assign(e) for e in events]
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONERS))
+    def test_empty_list(self, name):
+        p = PARTITIONERS[name]()
+        p.fit(make_events(50))
+        assert p.assign_batch([]) == []
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("name", sorted(PARTITIONERS))
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["plain", "duplicate"])
+    def test_routing_with_empty_partitions(self, backend, name, duplicate):
+        # Batched routing (shuffle_by_batch / _fan_out_batch) vs the
+        # per-instance oracle, over partitions that include empty ones.
+        events = make_events(120)
+        layout = [events[:50], [], events[50:], []]
+        ctx = EngineContext(default_parallelism=4, backend=backend)
+        try:
+            routed = []
+            for route in (
+                lambda rdd, p: p.partition(rdd, duplicate=duplicate),
+                lambda rdd, p: oracles.partition(rdd, p, duplicate=duplicate),
+            ):
+                parts = route(ctx.from_partitions(layout), PARTITIONERS[name]())
+                routed.append([
+                    sorted((inst.identity(), getattr(inst, "dup_primary", True)) for inst in part)
+                    for part in parts._collect_partitions()
+                ])
+            assert routed[0] == routed[1]
+            assert sum(len(p) for p in routed[0]) >= len(events)
+        finally:
+            ctx.backend.stop()
 
     def test_cut_sitting_centers(self):
         # Fit, then craft events whose centers sit exactly on fitted cuts;
@@ -332,50 +395,95 @@ class TestPartitionIndexCache:
         assert cache.hits > before[0]
 
 
+SPATIAL = Envelope(2.0, 2.0, 6.0, 6.0)
+TEMPORAL = Duration(10_000.0, 60_000.0)
+
+
+def _outcome(run):
+    """Selected (identity, primary) multiset — or the error type raised."""
+    try:
+        result = run().collect()
+    except ValueError as exc:
+        return type(exc)
+    return Counter((inst.identity(), getattr(inst, "dup_primary", True)) for inst in result)
+
+
 class TestSelectionParityAcrossBackends:
     def _dataset(self):
         events = make_events(300)
         # Boundary-sitting extras: exactly on the query-box faces below.
         events.append(Event.of_point(6.0, 6.0, 60_000.0, data=9001))
         events.append(Event.of_point(2.0, 2.0, 10_000.0, data=9002))
-        return events
+        # Trajectories need the exact refinement: the L-shaped ones have
+        # an MBR covering the query box but no sample inside it.
+        corners = [
+            Trajectory.of_points(
+                [(1.0, 1.0, t), (1.0, 7.0, t + 15.0), (7.0, 7.0, t + 30.0)],
+                data=f"corner-{i}",
+            )
+            for i, t in enumerate((20_000.0, 40_000.0))
+        ]
+        return events + make_trajectories(40) + corners
 
-    def _select(self, backend: str, use_columnar: bool, index: bool, duplicate: bool):
+    def _both(self, backend: str, index: bool, duplicate: bool, layout=None):
+        """(production, oracle) selection outcomes over the same input.
+
+        ``layout`` is an explicit partition list; by default the dataset
+        is parallelized into four partitions.
+        """
         ctx = EngineContext(default_parallelism=4, backend=backend)
         try:
-            partitioner = TSTRPartitioner(2, 4) if duplicate else None
-            sel = Selector(
-                spatial=Envelope(2.0, 2.0, 6.0, 6.0),
-                temporal=Duration(10_000.0, 60_000.0),
-                partitioner=partitioner,
+            def source():
+                if layout is None:
+                    return ctx.parallelize(self._dataset(), 4)
+                return ctx.from_partitions(layout)
+
+            def partitioner():
+                return TSTRPartitioner(2, 4) if duplicate else None
+
+            production = _outcome(lambda: Selector(
+                spatial=SPATIAL,
+                temporal=TEMPORAL,
+                partitioner=partitioner(),
                 index=index,
                 duplicate=duplicate,
-                use_columnar=use_columnar,
-            )
-            result = sel.select(ctx, ctx.parallelize(self._dataset(), 4)).collect()
-            return Counter(
-                (inst.identity(), getattr(inst, "dup_primary", True))
-                for inst in result
-            )
+            ).select(ctx, source()))
+            oracle = _outcome(lambda: oracles.select(
+                source(), SPATIAL, TEMPORAL, index, partitioner(), duplicate
+            ))
+            return production, oracle
         finally:
             ctx.backend.stop()
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("index", [True, False])
     def test_plain_selection_parity(self, backend, index):
-        scalar = self._select(backend, use_columnar=False, index=index, duplicate=False)
-        columnar = self._select(backend, use_columnar=True, index=index, duplicate=False)
-        assert columnar == scalar
-        assert sum(scalar.values()) > 0
+        columnar, expected = self._both(backend, index=index, duplicate=False)
+        assert columnar == expected
+        assert sum(expected.values()) > 0
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_duplicate_mode_parity(self, backend):
-        scalar = self._select(backend, use_columnar=False, index=True, duplicate=True)
-        columnar = self._select(backend, use_columnar=True, index=True, duplicate=True)
-        assert columnar == scalar
+        columnar, expected = self._both(backend, index=True, duplicate=True)
+        assert columnar == expected
         # Replica fan-out must actually occur for the comparison to bite:
         # primaries of every identity, replicas preserved identically.
-        assert sum(scalar.values()) > 0
+        assert sum(expected.values()) > 0
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("index", [True, False])
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["plain", "duplicate"])
+    def test_empty_partition_and_empty_list_parity(self, backend, index, duplicate):
+        data = self._dataset()
+        with_empty = [data[:100], [], data[100:], []]
+        columnar, expected = self._both(backend, index, duplicate, layout=with_empty)
+        assert columnar == expected
+        assert sum(expected.values()) > 0
+        # An empty input selects nothing — or, with a partitioner, fails to
+        # fit on an empty sample — identically on both sides.
+        columnar, expected = self._both(backend, index, duplicate, layout=[[], []])
+        assert columnar == expected
+        assert expected == (ValueError if duplicate else Counter())
 
     def test_probe_counter_reports_work(self):
         ctx = EngineContext(default_parallelism=2)
@@ -390,19 +498,21 @@ class TestConversionParityAcrossBackends:
         from repro.core.converters import Event2TsConverter
 
         structure = TimeSeriesStructure.regular(Duration(0, 86_400), 24)
-        results = {}
-        for use_columnar in (False, True):
-            ctx = EngineContext(default_parallelism=4, backend=backend)
-            try:
-                conv = Event2TsConverter(
-                    structure, use_columnar=use_columnar
-                )
-                rdd = ctx.parallelize(make_events(200), 4)
-                merged = conv.convert_merged(rdd, combine=lambda a, b: a + b)
-                results[use_columnar] = [
-                    sorted(inst.identity() for inst in cell)
-                    for cell in merged.cell_values()
-                ]
-            finally:
-                ctx.backend.stop()
-        assert results[True] == results[False]
+        events = make_events(200)
+        expected = [
+            sorted(inst.identity() for inst in cell)
+            for cell in oracles.allocate(events, structure)
+        ]
+        ctx = EngineContext(default_parallelism=4, backend=backend)
+        try:
+            conv = Event2TsConverter(structure)
+            merged = conv.convert_merged(
+                ctx.parallelize(events, 4), combine=lambda a, b: a + b
+            )
+            converted = [
+                sorted(inst.identity() for inst in cell)
+                for cell in merged.cell_values()
+            ]
+        finally:
+            ctx.backend.stop()
+        assert converted == expected

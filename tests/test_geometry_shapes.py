@@ -27,6 +27,9 @@ class TestPoint:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             Point(math.nan, 0)
+        # ±inf constructs (unbounded query ranges use it); datasets reject
+        # it at write time instead — see test_stio.TestNonFiniteRejected.
+        assert Point(math.inf, -math.inf).x == math.inf
 
     def test_immutability_and_pickle(self):
         p = Point(1.5, 2.5)

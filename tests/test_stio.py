@@ -10,6 +10,7 @@ from repro.instances import Event, Trajectory
 from repro.partitioners import TSTRPartitioner
 from repro.stio import (
     DatasetMetadata,
+    NonFiniteRecordError,
     PartitionMeta,
     StDataset,
     decode_record,
@@ -211,6 +212,70 @@ class TestStDataset:
         StDataset.write(tmp_path / "d", [events], "event")
         meta = DatasetMetadata.load(tmp_path / "d")
         assert meta.partitions[0].bounds == STBox((1, 1, 5), (1, 1, 5))
+
+
+def _with_non_finite(bad_kind: str) -> list:
+    """Valid events plus one with an infinite coordinate or timestamp."""
+    bad = {
+        "x+inf": Event.of_point(float("inf"), 1.0, 500.0, data="bad"),
+        "y-inf": Event.of_point(1.0, float("-inf"), 500.0, data="bad"),
+        "t+inf": Event(Point(1.0, 1.0), Duration(500.0, float("inf")), data="bad"),
+        "t-inf": Event(Point(1.0, 1.0), Duration.instant(float("-inf")), data="bad"),
+    }[bad_kind]
+    return make_events(80) + [bad]
+
+
+def _listing(directory):
+    if not directory.exists():
+        return None
+    return sorted((p.name, p.read_bytes()) for p in directory.iterdir())
+
+
+class TestNonFiniteRejected:
+    """±inf extents are rejected on the way in, leaving nothing on disk."""
+
+    BAD_KINDS = ["x+inf", "y-inf", "t+inf", "t-inf"]
+
+    @pytest.mark.parametrize("block_format", ["v1", "v2"])
+    @pytest.mark.parametrize("bad_kind", BAD_KINDS)
+    def test_write_and_write_rdd(self, tmp_path, block_format, bad_kind):
+        records = _with_non_finite(bad_kind)
+        with pytest.raises(NonFiniteRecordError, match="infinite"):
+            StDataset.write(
+                tmp_path / "w", [records[:40], records[40:]], "event",
+                block_format=block_format,
+            )
+        ctx = EngineContext(default_parallelism=2)
+        with pytest.raises(NonFiniteRecordError):
+            StDataset.write_rdd(
+                tmp_path / "wr", ctx.parallelize(records, 2), "event",
+                partitioner=TSTRPartitioner(2, 2), block_format=block_format,
+            )
+        assert _listing(tmp_path / "w") is None
+        assert _listing(tmp_path / "wr") is None
+
+    @pytest.mark.parametrize("block_format", ["v1", "v2"])
+    @pytest.mark.parametrize("bad_kind", BAD_KINDS)
+    def test_append_and_ingest(self, tmp_path, block_format, bad_kind):
+        records = _with_non_finite(bad_kind)
+        ds = StDataset.write(
+            tmp_path / "d", [make_events(30, seed=3)], "event", block_format=block_format
+        )
+        before = _listing(tmp_path / "d")
+        with pytest.raises(NonFiniteRecordError):
+            ds.append([records])
+        with pytest.raises(NonFiniteRecordError):
+            ds.ingest(records, partitioner=TSTRPartitioner(2, 2))
+        assert _listing(tmp_path / "d") == before
+        fresh = StDataset(tmp_path / "fresh")
+        with pytest.raises(NonFiniteRecordError):
+            fresh.ingest(records, instance_type="event", block_format=block_format)
+        assert _listing(tmp_path / "fresh") is None
+
+    def test_finite_bounds_recorded(self, tmp_path):
+        ds = StDataset.write(tmp_path / "ok", [make_events(40)], "event", block_format="v2")
+        bounds = ds.metadata().partitions[0].bounds
+        assert all(abs(v) < 1e6 for v in bounds.mins + bounds.maxs)
 
 
 class TestPruningEquivalence:

@@ -32,6 +32,7 @@ from repro.stream import (
     WindowedSpeedExtractor,
 )
 from repro.temporal import Duration
+from tests import oracles
 from tests.conftest import make_events, make_trajectories
 
 ALL_BACKENDS = ["sequential", "thread", "process"]
@@ -363,22 +364,22 @@ class TestIncrementalParity:
         assert run.result.cell_values() == batch_result.cell_values()
 
     def test_columnar_and_scalar_agree(self, tmp_path):
+        """Incremental (columnar partials) vs a batch run through the
+        per-cell extraction oracle."""
         ctx = make_ctx()
         ds = StDataset(tmp_path / "feed")
+        state = None
         for batch in event_batches(3):
             ds.ingest(batch, instance_type="event")
-
-        def pipe(columnar):
-            p = flow_pipeline(days=3)
-            p.extractor.use_columnar = columnar
-            return p
-
-        results = []
-        for columnar in (True, False):
-            state = None
-            run = pipe(columnar).run_incremental(ctx, tmp_path / "feed")
-            results.append(run.result.cell_values())
-        assert results[0] == results[1]
+            run = flow_pipeline(days=3).run_incremental(
+                ctx, tmp_path / "feed", state=state
+            )
+            state = run.state
+        pipe = flow_pipeline(days=3)
+        converted = pipe.converter.convert(pipe.selector.select(ctx, tmp_path / "feed"))
+        expected = oracles.extract(pipe.extractor, converted).cell_values()
+        assert run.result.cell_values() == expected
+        assert sum(expected) > 0
 
     def test_pruned_batch_contributes_nothing_but_advances(self, tmp_path):
         """A batch entirely outside the query range adds no partials —

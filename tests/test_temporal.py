@@ -34,6 +34,9 @@ class TestDuration:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             Duration(math.nan, 1)
+        # ±inf constructs (open-ended horizons use it); datasets reject it
+        # at write time instead — see test_stio.TestNonFiniteRejected.
+        assert Duration(-math.inf, math.inf).end == math.inf
 
     def test_immutable(self):
         d = Duration(0, 1)
