@@ -9,8 +9,8 @@ row→instance indirection):
 * :class:`PackedRTree` — STR bulk-load packed into per-level MBR arrays,
   queried level-at-a-time (the selection filter with an index, and the
   irregular-structure allocation path);
-* batched partition-id assignment (``Partitioner.assign_batch``) feeding
-  ``RDD.shuffle_by_batch``;
+* batched partition-id assignment (``Partitioner.assign_batch``), one
+  call per partition in ``STPartitioner.partition``;
 * an analytic row→cell range kernel for regular structures
   (``Grid.candidate_ranges_batch``);
 * extraction aggregation (:mod:`repro.columnar.aggregate`) — per-partition

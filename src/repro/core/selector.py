@@ -18,6 +18,7 @@ range, and repartitions the survivors with an ST-aware partitioner:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -64,7 +65,8 @@ class Selector:
         rest of the pipeline stays sequential.  Because a backend override
         cannot outlive ``select()``, the result is materialized eagerly
         under that backend and returned as a source RDD.  ``None`` (the
-        default) keeps the context's backend and the usual lazy result.
+        default) keeps the context's backend; the result is lazy unless a
+        ``partitioner`` is set, whose ``partition()`` is eager.
     on_corrupt:
         What an undecodable on-disk block does during a from-disk select:
         ``"raise"`` (default) aborts with
@@ -217,31 +219,29 @@ class Selector:
             self.rtree_probes.reset()
             self.index_cache_hits.reset()
             self.index_cache_misses.reset()
-            loaded = self._load(ctx, source, use_metadata, offset=offset)
-            selected = self._filter(loaded)
-            if self.partitioner is not None:
-                selected = self.partitioner.partition(
-                    selected, duplicate=self.duplicate
-                )
-            elif (
-                self.num_partitions is not None
-                and self.num_partitions != selected.num_partitions
-            ):
-                selected = selected.repartition(self.num_partitions)
-                # Repartitioning produces new partition lists; drop the
-                # per-partition selection indexes keyed on the old ones.
-                from repro.columnar.cache import invalidate_partition_indexes
+            # Dedicated-backend selection is eager: the override is scoped
+            # to this call, so load, filter and partition all run now, not
+            # at a later action.
+            scope = nullcontext() if self.backend is None else ctx.using_backend(self.backend)
+            with scope:
+                loaded = self._load(ctx, source, use_metadata, offset=offset)
+                selected = self._filter(loaded)
+                if self.partitioner is not None:
+                    selected = self.partitioner.partition(
+                        selected, duplicate=self.duplicate
+                    )
+                elif (
+                    self.num_partitions is not None
+                    and self.num_partitions != selected.num_partitions
+                ):
+                    selected = selected.repartition(self.num_partitions)
+                    # Repartitioning produces new partition lists; drop the
+                    # per-partition selection indexes keyed on the old ones.
+                    from repro.columnar.cache import invalidate_partition_indexes
 
-                invalidate_partition_indexes()
-            if self.backend is not None:
-                # Dedicated-backend selection is eager: the override is
-                # scoped to this call, so the scan must run now, not at a
-                # later action.
-                with ctx.using_backend(self.backend):
-                    partitions = selected._collect_partitions()
-                selected = ctx.from_partitions(partitions)
-            elif span is not None:
-                selected = ctx.from_partitions(selected._collect_partitions())
+                    invalidate_partition_indexes()
+                if self.backend is not None or span is not None:
+                    selected = ctx.from_partitions(selected._collect_partitions())
             if span is not None:
                 self._record_phase_counters(
                     ctx,

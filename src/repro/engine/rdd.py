@@ -24,7 +24,7 @@ import random
 from bisect import bisect_right
 from collections import defaultdict
 from threading import Lock
-from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Generic, Iterable, TypeVar
 
 from repro.engine.context import EngineContext
 from repro.engine.shuffle import hash_partition
@@ -48,6 +48,12 @@ def _identity_key(x: Any) -> Any:
     except TypeError:
         return ("__repro_unhashable__", pickle.dumps(x, protocol=pickle.HIGHEST_PROTOCOL))
     return x
+
+
+def _bernoulli(items: list, fraction: float, seed: int, split: int) -> list:
+    """:meth:`RDD.sample`'s draw from one partition, deterministic per split."""
+    rng = random.Random(seed * 1_000_003 + split)
+    return [x for x in items if rng.random() < fraction]
 
 
 class RDD(Generic[T]):
@@ -225,11 +231,9 @@ class RDD(Generic[T]):
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
 
-        def sampler(split: int, items: list) -> list:
-            rng = random.Random(seed * 1_000_003 + split)
-            return [x for x in items if rng.random() < fraction]
-
-        return _MapPartitionsRDD(self, sampler)
+        return _MapPartitionsRDD(
+            self, lambda split, items: _bernoulli(items, fraction, seed, split)
+        )
 
     def zip_with_index(self) -> "RDD[tuple[T, int]]":
         """Pair each element with a global 0-based index.
@@ -312,33 +316,35 @@ class RDD(Generic[T]):
             values_only=True,
         )
 
-    def shuffle_by_batch(
+    def _sample_and_route(
         self,
-        num_partitions: int,
-        assign_batch: Callable[[list], Sequence[int]],
-    ) -> "RDD[T]":
-        """Like :meth:`shuffle_by`, but assignment runs once per partition.
+        fraction: float,
+        seed: int,
+        plan: Callable[[list[list], list], tuple[int, Callable[[list], Iterable]]],
+    ) -> "RDD[Any]":
+        """Evaluate once in one stage, fit on a sample, shuffle on the driver.
 
-        ``assign_batch(items)`` returns one target partition id per item —
-        the hook the columnar partitioners use to vectorize routing.  Ids
-        are coerced with ``int()`` so numpy integer scalars route exactly
-        like Python ints.
+        ``plan(partitions, sample)`` gets the collected partitions and the
+        sample :meth:`sample` would draw from them, and returns the target
+        partition count and ``route(items)`` yielding ``(pid, element)``
+        pairs.  Buckets fill in split, then element order, as in
+        :class:`_ShuffledRDD`; an engine shuffle here would ship the
+        collected records back out on the process backend.
         """
-        def expand(split: int, items: list) -> list[tuple[int, T]]:
-            if not items:
-                return []
-            return [
-                (int(pid) % num_partitions, x)
-                for pid, x in zip(assign_batch(items), items)
-            ]
-
-        return _ShuffledRDD(
-            self.map_partitions_with_index(expand),
-            num_partitions,
-            key_of=lambda kv: kv[0],
-            direct_key=True,
-            values_only=True,
-        )
+        partitions = self._collect_partitions()
+        sample = [
+            x
+            for split, items in enumerate(partitions)
+            for x in _bernoulli(items, fraction, seed, split)
+        ]
+        n, route = plan(partitions, sample)
+        buckets: list[list] = [[] for _ in range(n)]
+        for items in partitions:
+            if items:
+                for pid, x in route(items):
+                    buckets[pid % n].append(x)
+        self.ctx.record_shuffle(sum(map(len, buckets)))
+        return self.ctx.from_partitions(buckets, copy=False)
 
     def group_by_key(self, num_partitions: int | None = None) -> "RDD[tuple[K, list]]":
         """Full shuffle of every record, grouped on the reduce side."""
@@ -500,25 +506,19 @@ class RDD(Generic[T]):
                 self.coalesce(1),
                 lambda _, it: sorted(it, key=key_func, reverse=not ascending),
             )
-        sample_keys = sorted(
-            key_func(x)
-            for p in self.sample(0.2, seed=41)._collect_partitions()
-            for x in p
-        )
-        if not sample_keys:
-            # Sample missed everything (tiny input): fall back to full keys.
-            sample_keys = sorted(key_func(x) for x in self.collect())
-        if not sample_keys:
-            return self
-        bounds = [
-            sample_keys[(i + 1) * len(sample_keys) // n] for i in range(n - 1)
-        ]
+        def plan(partitions: list[list], sample: list):
+            # An empty sample (tiny input) falls back to every key.
+            keys = sorted(map(key_func, sample or [x for p in partitions for x in p]))
+            bounds = [keys[(i + 1) * len(keys) // n] for i in range(n - 1)] if keys else []
 
-        def assign(x: T) -> int:
-            idx = bisect_right(bounds, key_func(x))
-            return idx if ascending else (n - 1 - idx)
+            def route(items: list) -> Iterable[tuple[int, T]]:
+                for x in items:
+                    idx = bisect_right(bounds, key_func(x))
+                    yield (idx if ascending else n - 1 - idx), x
 
-        ranged = self.shuffle_by(n, assign)
+            return n, route
+
+        ranged = self._sample_and_route(0.2, 41, plan)
         return _MapPartitionsRDD(
             ranged, lambda _, it: sorted(it, key=key_func, reverse=not ascending)
         )

@@ -2,8 +2,10 @@
 
 A partitioner learns partition boundaries from a data sample, then assigns
 every instance to one partition (or several, when boundary duplication is
-required for correctness — Algorithm 1's ``duplicate`` flag).  The
-assignment runs inside the engine's ``shuffle_by`` primitive.
+required for correctness — Algorithm 1's ``duplicate`` flag).
+:meth:`STPartitioner.partition` evaluates its input once, fits on a
+sample of it and routes every record on the driver through batched
+``assign_batch`` calls.
 
 Provided partitioners:
 

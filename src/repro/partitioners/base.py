@@ -25,8 +25,6 @@ def _fan_out_batch(
     Each instance yields one primary copy for its ``assign_batch`` id and
     one tagged replica per additional overlapping partition from
     ``assign_all`` (boundary overlap enumeration, per instance).
-    Module-level so the process backend can ship the routing stage with
-    stdlib pickle.
     """
     routed: list[tuple[int, Instance]] = []
     for inst, primary in zip(partition, assign_batch(partition)):
@@ -35,21 +33,13 @@ def _fan_out_batch(
     return routed
 
 
-def _routed_pid(pair: tuple[int, Instance]) -> int:
-    return pair[0]
-
-
-def _routed_instance(pair: tuple[int, Instance]) -> Instance:
-    return pair[1]
-
-
 class STPartitioner(ABC):
     """Learns boundaries from a sample, then assigns instances to partitions.
 
     Lifecycle::
 
         p = TSTRPartitioner(gt=8, gs=16)
-        partitioned = p.partition(rdd)          # fit on a sample + shuffle
+        partitioned = p.partition(rdd)          # evaluate once, fit, route
 
     or, when the caller manages sampling itself::
 
@@ -142,38 +132,41 @@ class STPartitioner(ABC):
         The sampling-then-assigning flow follows Section 3.1: boundaries are
         computed from a fraction of the data ("takes much shorter time and
         only induces minor degradation in load balance"), then every record
-        is routed in parallel, through one :meth:`assign_batch` call per
-        partition.
+        is routed, through one :meth:`assign_batch` call per partition.
+        Eager: ``rdd`` is evaluated exactly once, in one stage; the sample
+        is drawn from that stage's output and the records are routed on
+        the driver, where the output already is.
         """
         from repro.columnar.cache import invalidate_partition_indexes
 
-        sample = [x for p in rdd.sample(sample_fraction, seed)._collect_partitions() for x in p]
-        if not sample:
-            sample = rdd.take(1000)
-        self.fit(sample)
-        if getattr(rdd.ctx, "strict", False):
-            from repro.engine.sanitizer import validate_partitioner
+        def plan(partitions: list[list], sample: list):
+            if not sample:
+                sample = [x for p in partitions for x in p][:1000]
+            self.fit(sample)
+            if getattr(rdd.ctx, "strict", False):
+                from repro.engine.sanitizer import validate_partitioner
 
-            validate_partitioner(self, sample)
-        # The shuffle replaces every partition list; cached per-partition
-        # selection indexes keyed on the old lists are released eagerly.
-        invalidate_partition_indexes()
-        if not duplicate:
-            return rdd.shuffle_by_batch(self.num_partitions, self.assign_batch)
-        # Duplicate mode (Algorithm 1's ``duplicate`` flag): the copy that
-        # lands in ``assign(inst)``'s partition stays the primary; copies
-        # routed to other overlapping partitions are tagged replicas
-        # (``dup_primary=False``), so aggregates can skip them while
-        # local-neighborhood operators still see every copy.  The closed
-        # intervals of Duration/Envelope intersection mean an instance
-        # sitting exactly on a cell boundary always fans out — without the
-        # tag it would be double-counted downstream.
-        assign_all = self.assign_all
-        assign_batch = self.assign_batch
-        routed = rdd.map_partitions(
-            lambda part: _fan_out_batch(part, assign_batch, assign_all)
-        )
-        return routed.shuffle_by(self.num_partitions, _routed_pid).map(_routed_instance)
+                validate_partitioner(self, sample)
+            # Routing replaces every partition list: release the cached
+            # selection indexes keyed on the old ones.
+            invalidate_partition_indexes()
+            assign_batch = self.assign_batch
+            if not duplicate:
+                return self.num_partitions, lambda part: zip(assign_batch(part), part)
+            # Duplicate mode (Algorithm 1's ``duplicate`` flag): the copy
+            # that lands in ``assign(inst)``'s partition stays the primary;
+            # copies routed to other overlapping partitions are tagged
+            # replicas (``dup_primary=False``), so aggregates can skip them
+            # while local-neighborhood operators still see every copy.  The
+            # closed intervals of Duration/Envelope intersection mean an
+            # instance sitting exactly on a cell boundary always fans out —
+            # without the tag it would be double-counted downstream.
+            assign_all = self.assign_all
+            return self.num_partitions, lambda part: _fan_out_batch(
+                part, assign_batch, assign_all
+            )
+
+        return rdd._sample_and_route(sample_fraction, seed, plan)
 
     def partition_with_info(
         self,

@@ -239,15 +239,18 @@ class V2Block:
 
     # -- payload decode -------------------------------------------------------------
 
-    def _decode_row(self, row: int, codec: str):
-        start = self._payload_off + int(self._offsets[row])
-        end = self._payload_off + int(self._offsets[row + 1])
-        value = pickle.loads(memoryview(self._buf[start:end]))
-        return decode_record(value) if codec == "tuple" else value
-
     def decode_rows(self, rows, codec: str) -> list:
         """Unpickle only the given rows (the pruned-load payload path)."""
-        return [self._decode_row(int(r), codec) for r in rows]
+        np = require_numpy("stio v2 block format")
+        rows = np.asarray(rows, dtype=np.int64)
+        # One gather for all offsets and one plain memoryview of the map:
+        # slicing the memmap per row would run numpy's subclass machinery
+        # for every record.
+        starts = (self._offsets[rows] + self._payload_off).tolist()
+        ends = (self._offsets[rows + 1] + self._payload_off).tolist()
+        view = memoryview(self._buf)
+        values = [pickle.loads(view[s:e]) for s, e in zip(starts, ends)]
+        return [decode_record(v) for v in values] if codec == "tuple" else values
 
     def decode_all(self, codec: str) -> list:
         """Unpickle every row (full scan / residency load)."""

@@ -326,8 +326,10 @@ class TestAssignBatchParity:
     @pytest.mark.parametrize("name", sorted(PARTITIONERS))
     @pytest.mark.parametrize("duplicate", [False, True], ids=["plain", "duplicate"])
     def test_routing_with_empty_partitions(self, backend, name, duplicate):
-        # Batched routing (shuffle_by_batch / _fan_out_batch) vs the
-        # per-instance oracle, over partitions that include empty ones.
+        # Driver-side batched routing (assign_batch / _fan_out_batch) vs
+        # the per-instance engine shuffle of the oracle, over partitions
+        # that include empty ones.  Order counts: downstream sampling
+        # depends on it.
         events = make_events(120)
         layout = [events[:50], [], events[50:], []]
         ctx = EngineContext(default_parallelism=4, backend=backend)
@@ -339,7 +341,7 @@ class TestAssignBatchParity:
             ):
                 parts = route(ctx.from_partitions(layout), PARTITIONERS[name]())
                 routed.append([
-                    sorted((inst.identity(), getattr(inst, "dup_primary", True)) for inst in part)
+                    [(inst.identity(), getattr(inst, "dup_primary", True)) for inst in part]
                     for part in parts._collect_partitions()
                 ])
             assert routed[0] == routed[1]

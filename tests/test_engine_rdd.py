@@ -265,6 +265,29 @@ class TestWideTransformations:
         rdd = ctx.parallelize([5, 1, 3], 2)
         assert rdd.sort_by(lambda x: x, num_partitions=1).collect() == [1, 3, 5]
 
+    @pytest.mark.parametrize("backend", ["sequential", "thread"])
+    @pytest.mark.parametrize("size", [0, 3, 200])
+    def test_sort_by_evaluates_input_once(self, backend, size):
+        # One stage collects the input; the sample and the range routing
+        # both come from that output, with no second pass over it (nor a
+        # third when the sample is empty).
+        import random
+
+        data = list(range(size))
+        random.Random(5).shuffle(data)
+        calls = Accumulator(0)
+        ctx = EngineContext(default_parallelism=4, backend=backend)
+        try:
+            rdd = ctx.parallelize(data, 4).map_partitions(
+                lambda part: calls.add(1) or part
+            )
+            ordered = rdd.sort_by(lambda x: x, num_partitions=3)
+            assert calls.value == rdd.num_partitions
+            assert ordered.collect() == sorted(data)
+            assert calls.value == rdd.num_partitions
+        finally:
+            ctx.stop()
+
 
 class TestActions:
     def test_reduce(self, numbers):

@@ -37,6 +37,7 @@ from repro.engine import (
 )
 from repro.engine.costmodel import suggest_task_chunks
 from repro.geometry import Envelope
+from repro.partitioners import TSTRPartitioner
 from repro.temporal import Duration
 
 ALL_BACKENDS = ["sequential", "thread", "process"]
@@ -343,6 +344,31 @@ class TestBackendSelectionPlumbing:
             # eager: already a source RDD, evaluated under the override
             assert ctx.backend_name == "sequential"
             assert element_bytes(threaded.collect()) == element_bytes(plain)
+
+            # With a partitioner, every stage of the select (load, filter
+            # and the partitioner's sample) runs on the override too.
+            expected = Selector(
+                query, t, partitioner=TSTRPartitioner(2, 2)
+            ).select(ctx, events)
+            ran_on = []
+            run_stage = ctx.run_stage
+
+            def spy(num_partitions, task):
+                ran_on.append(ctx.backend_name)
+                return run_stage(num_partitions, task)
+
+            ctx.run_stage = spy
+            try:
+                partitioned = Selector(
+                    query, t, partitioner=TSTRPartitioner(2, 2), backend="thread"
+                ).select(ctx, events)
+            finally:
+                del ctx.run_stage
+            assert ran_on and set(ran_on) == {"thread"}
+            assert ctx.backend_name == "sequential"
+            assert [element_bytes(p) for p in partitioned._collect_partitions()] == [
+                element_bytes(p) for p in expected._collect_partitions()
+            ]
 
     def test_cli_exposes_backend_flag(self):
         from repro.cli import build_parser

@@ -23,6 +23,7 @@ from repro.engine.errors import CorruptPartitionError, TaskFailure
 from repro.engine.faults import FaultPlan, FaultRule
 from repro.geometry import Envelope, LineString, Point, Polygon
 from repro.instances import Event
+from repro.partitioners import TSTRPartitioner
 from repro.stio import (
     DatasetMetadata,
     StDataset,
@@ -193,6 +194,30 @@ class TestV2Dataset:
         # precisely the matching rows — the Figure 5 proportionality.
         assert stats.records_loaded == len(got) < len(events)
         assert stats.bytes_read > 0
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread"])
+    def test_partitioned_select_decodes_each_row_once(self, tmp_path, monkeypatch, backend):
+        # Fitting the partitioner reuses the one evaluation of load and
+        # filter: every row the pushdown loads is decoded exactly once.
+        import repro.stio.blockv2 as blockv2
+
+        save_dataset(tmp_path / "ds", make_events(600), "event", block_format="v2")
+        decodes = []
+        decode = blockv2.decode_record
+        monkeypatch.setattr(
+            blockv2, "decode_record", lambda r: decodes.append(1) or decode(r)
+        )
+        ctx = EngineContext(default_parallelism=4, backend=backend)
+        try:
+            selector = Selector(
+                Envelope(0.0, 0.0, 6.0, 6.0), QUERY_TEMPORAL,
+                partitioner=TSTRPartitioner(2, 4),
+            )
+            rows = sum(map(len, selector.select(ctx, tmp_path / "ds").glom().collect()))
+        finally:
+            ctx.stop()
+        loaded = selector.last_load_stats.records_loaded
+        assert 0 < rows <= loaded == len(decodes)
 
     def test_unpruned_read_loads_everything(self, ctx, tmp_path):
         events = make_events(100)
