@@ -6,7 +6,8 @@ gain grows as the query shrinks.
 
 Series reproduced:
 * 5a/5b — processing time (events / trajectories), indexed vs native;
-* 5c/5d — records loaded into memory vs actually selected.
+* 5c/5d — records loaded into memory vs actually selected, plus the
+  blocks and bytes each load read.
 """
 
 from __future__ import annotations
@@ -94,12 +95,17 @@ def test_fig5_report(benchmark, bench_dirs):
                         stats_full.records_loaded,
                         n_sel,
                         f"{pruned:.0f}%",
+                        stats_idx.partitions_read,
+                        stats_full.partitions_read,
+                        stats_idx.bytes_read,
+                        stats_full.bytes_read,
                     ]
                 )
         print_table(
             "Figure 5: on-disk indexing with metadata",
             ["data", "range", "t_indexed", "t_native", "t_saved",
-             "loaded_idx", "loaded_native", "selected", "irrelevant_pruned"],
+             "loaded_idx", "loaded_native", "selected", "irrelevant_pruned",
+             "blocks_idx", "blocks_native", "bytes_idx", "bytes_native"],
             rows,
         )
         return rows
@@ -109,3 +115,4 @@ def test_fig5_report(benchmark, bench_dirs):
     event_rows = [r for r in rows if r[0] == "event"]
     assert event_rows[0][5] < event_rows[-1][5]  # smaller query loads less
     assert all(r[5] <= r[6] for r in rows)  # indexed never loads more
+    assert all(r[9] <= r[10] and r[11] <= r[12] for r in rows)  # ... or reads more

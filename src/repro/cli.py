@@ -8,9 +8,6 @@ surface a data engineer needs without writing code:
 * ``generate`` — synthesize a seeded dataset (nyc / porto / air / osm);
 * ``index``    — T-STR-partition an existing dataset and (re)build its
   on-disk metadata index;
-* ``convert-format`` — rewrite a dataset's blocks between the v1
-  (whole-partition pickle) and v2 (mmap-able columnar) block formats,
-  preserving selection results byte-for-byte;
 * ``select``   — run a metadata-pruned ST range selection and report the
   pruning statistics (``--format json`` emits the canonical result
   document the serve protocol also uses);
@@ -96,18 +93,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     instances = generator(args.records, args.seed)
     ctx = _make_ctx(args)
     partitioner = TSTRPartitioner(args.gt, args.gs) if args.indexed else None
-    save_dataset(
-        args.out,
-        instances,
-        kind,
-        partitioner=partitioner,
-        ctx=ctx,
-        block_format=args.block_format,
-    )
+    save_dataset(args.out, instances, kind, partitioner=partitioner, ctx=ctx)
     print(
         f"wrote {len(instances):,} {kind} records to {args.out} "
-        f"({'T-STR indexed' if args.indexed else 'unindexed'}, "
-        f"{args.block_format} blocks)"
+        f"({'T-STR indexed' if args.indexed else 'unindexed'})"
     )
     ctx.stop()
     return 0
@@ -123,8 +112,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         rdd,
         meta.instance_type,
         partitioner=TSTRPartitioner(args.gt, args.gs),
-        # A re-index changes the partitioning, not the storage format.
-        block_format=meta.block_format,
     )
     print(
         f"re-indexed {meta.total_records:,} records "
@@ -512,25 +499,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_convert_format(args: argparse.Namespace) -> int:
-    ds = StDataset(args.path)
-    meta = ds.metadata()
-    if meta.block_format == args.to and args.out is None:
-        print(f"{args.path} already uses block format {args.to}; nothing to do")
-        return 0
-    start = time.perf_counter()
-    converted = ds.convert(args.to, out=args.out)
-    elapsed = time.perf_counter() - start
-    target = args.out or args.path
-    print(
-        f"converted {meta.total_records:,} records "
-        f"({len(meta.partitions)} partitions) {meta.block_format} -> {args.to} "
-        f"at {target} in {elapsed:.2f}s "
-        f"(generation {converted.metadata().generation})"
-    )
-    return 0
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     meta = StDataset(args.path).metadata()
     non_empty = [p for p in meta.partitions if p.count]
@@ -541,7 +509,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     summary = [
         ("dataset", str(args.path)),
         ("instance type", meta.instance_type),
-        ("block format", meta.block_format),
         ("generation", str(meta.generation)),
         ("watermark", watermark),
         ("partitions", str(len(meta.partitions))),
@@ -565,7 +532,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
         (
             str(i),
             p.filename,
-            meta.block_format,
             f"{p.count:,}",
             f"[{p.bounds.mins[2]:.0f}, {p.bounds.maxs[2]:.0f}]"
             if p.count
@@ -573,7 +539,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         )
         for i, p in enumerate(meta.partitions)
     ]
-    header = ("part", "file", "format", "records", "time range")
+    header = ("part", "file", "records", "time range")
     widths = [
         max(len(header[col]), max(len(r[col]) for r in rows))
         for col in range(len(header))
@@ -619,14 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--no-indexed", dest="indexed", action="store_false")
     gen.add_argument("--gt", type=int, default=4)
     gen.add_argument("--gs", type=int, default=4)
-    gen.add_argument(
-        "--block-format",
-        choices=("v1", "v2"),
-        default="v1",
-        help="on-disk block layout: v1 pickles each partition whole, v2 "
-        "is the mmap-able columnar format (pruned cold loads decode only "
-        "matching rows)",
-    )
     gen.set_defaults(func=_cmd_generate)
 
     idx = sub.add_parser("index", help="(re)build the T-STR on-disk index")
@@ -734,28 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shutdown", action="store_true", help="ask the daemon to stop"
     )
     query.set_defaults(func=_cmd_query)
-
-    convert = sub.add_parser(
-        "convert-format",
-        help="rewrite a dataset's blocks into another block format",
-        description="Rewrites every partition block into the target "
-        "format (v1 whole-partition pickles or v2 mmap-able columnar "
-        "blocks), preserving partition layout, record order, codec, and "
-        "bounds — selections answer byte-for-byte identically before and "
-        "after.  In place by default (the generation bumps and old-format "
-        "blocks are removed); --out writes a converted copy instead.",
-    )
-    convert.add_argument("path", type=Path)
-    convert.add_argument(
-        "--to", choices=("v1", "v2"), required=True, help="target block format"
-    )
-    convert.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the converted dataset here instead of in place",
-    )
-    convert.set_defaults(func=_cmd_convert_format)
 
     info = sub.add_parser("info", help="print dataset metadata")
     info.add_argument("path", type=Path)

@@ -29,7 +29,7 @@ COMPLETE_MARKER = "_COMPLETE"
 class PipelineCheckpoint:
     """Phase-level checkpoint store under one directory.
 
-    Layout: ``<directory>/<phase>/part-*.pkl`` + ``metadata.json`` +
+    Layout: ``<directory>/<phase>/part-*.stb`` + ``metadata.json`` +
     ``_COMPLETE``.  ``save`` returns a lineage-truncated RDD over the
     same in-memory partitions (the caller keeps computing without a
     read-back); ``load`` returns a lazy RDD over the on-disk blocks.

@@ -6,9 +6,9 @@ master; selection then reads only the partitions whose boundary overlaps
 the query.  This package reproduces those mechanics on a local
 filesystem:
 
-* :class:`StDataset` — a directory of partition block files plus a
-  ``metadata.json`` sidecar recording each partition's record count and ST
-  MBR;
+* :class:`StDataset` — a directory of v2 block files
+  (:mod:`repro.stio.blockv2`) plus a ``metadata.json`` sidecar recording
+  each partition's record count and ST MBR;
 * :func:`save_dataset` / :func:`load_dataset` — the write / pruned-read
   pair, with I/O counters (partitions read, records deserialized) that
   back the Figure 5 benchmarks;
@@ -18,7 +18,7 @@ filesystem:
 """
 
 from repro.stio.blockv2 import V2Block, encode_v2_block, open_v2_block, scan_v2_block
-from repro.stio.metadata import BLOCK_FORMATS, DatasetMetadata, PartitionMeta
+from repro.stio.metadata import DatasetMetadata, LegacyLayoutError, PartitionMeta
 from repro.stio.dataset import NonFiniteRecordError, StDataset, load_dataset, save_dataset
 from repro.stio.formats import (
     decode_record,
@@ -28,8 +28,8 @@ from repro.stio.formats import (
 )
 
 __all__ = [
-    "BLOCK_FORMATS",
     "DatasetMetadata",
+    "LegacyLayoutError",
     "NonFiniteRecordError",
     "PartitionMeta",
     "StDataset",

@@ -1,9 +1,9 @@
 """The stio v2 block format: mmap-able columnar extents + row payloads.
 
-A v1 block is one pickle of the whole partition, so even a
-metadata-pruned load pays a full deserialization before the columnar
-BoxTable can be built.  A v2 block splits the partition into two regions
-so the selection hot path never touches bytes it does not need:
+A whole-partition pickle would make even a metadata-pruned load pay a
+full deserialization before the columnar BoxTable could be built.  A v2
+block splits the partition into two regions so the selection hot path
+never touches bytes it does not need:
 
 * **extent columns** — the six structure-of-arrays BoxTable columns
   (``xmin/ymin/tmin/xmax/ymax/tmax`` as float64) plus the ``box_exact``
@@ -20,8 +20,7 @@ Layout (all little-endian, section offsets recorded in the header)::
 
 The ``filterable`` header flag is cleared when any record refuses
 ``st_bounds()`` (pickle-codec checkpoint payloads): such blocks decode
-whole, exactly like v1 — pushdown is an optimization, never a semantics
-change.  :class:`V2Block` pickles as its *path* and re-opens (re-mmaps)
+whole — pushdown is an optimization, never a semantics change.  :class:`V2Block` pickles as its *path* and re-opens (re-mmaps)
 on the other side, so shipping a block handle to a process worker moves a
 filename, not megabytes; ndarray views taken from it ride pickle
 protocol 5's out-of-band buffers when they are captured by stage

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import pickle
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,9 +14,8 @@ from repro.geometry.envelope import Envelope
 from repro.index.boxes import STBox, st_query_box
 from repro.instances.base import Instance
 from repro.stio.blockv2 import encode_v2_block, open_v2_block, scan_v2_block
-from repro.stio.formats import decode_record, encode_record
 from repro.stio.metadata import (
-    BLOCK_FORMATS,
+    BLOCK_FORMAT,
     METADATA_FILENAME,
     DatasetMetadata,
     PartitionMeta,
@@ -28,6 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.partitioners.base import STPartitioner
     from repro.stream.ingest import IngestReport
 
+#: One v2 block file per partition.
+_BLOCK_NAME = "part-{:05d}.stb"
+
 
 class NonFiniteRecordError(ValueError):
     """A record with a ±inf coordinate or timestamp reached a write.
@@ -37,6 +38,15 @@ class NonFiniteRecordError(ValueError):
     pruning could then never exclude that partition.  (NaN is already
     rejected by ``Point``/``Envelope``/``Duration``.)
     """
+
+
+def _require_v2(block_format: str) -> None:
+    """Validate the ``block_format`` compatibility argument: only v2 exists."""
+    if block_format != BLOCK_FORMAT:
+        raise ValueError(
+            f"unknown block format {block_format!r}: {BLOCK_FORMAT!r} is the "
+            f"only block layout"
+        )
 
 
 def _require_finite(partitions: Sequence[Sequence], bounds: Sequence[STBox]) -> None:
@@ -64,9 +74,10 @@ class LoadStats:
     """I/O accounting for one load — the currency of Figure 5.
 
     ``partitions_total`` vs ``partitions_read`` is the pruning ratio;
-    ``records_loaded`` is what Figure 5c/d plot as "memory loaded" — for
-    v2 blocks under query pushdown that is the rows whose payloads were
-    actually unpickled, which is the whole point of the format.
+    ``records_loaded`` is what Figure 5c/d plot as "memory loaded": under
+    query pushdown, the rows whose payloads were actually unpickled.
+    ``bytes_read`` counts each block's index region plus those rows'
+    payload bytes.
     ``partitions_selected`` is known at :meth:`StDataset.read` time (how
     many partitions survived metadata pruning), while ``partitions_read``
     counts the *distinct* block files deserialized so far — they converge
@@ -143,17 +154,16 @@ class _DiskPartitionRDD(RDD):
     (the default) surfaces :class:`~repro.engine.errors.CorruptPartitionError`
     through the retry loop, ``"quarantine"`` skips the block — an empty
     partition — and counts it in ``LoadStats.partitions_quarantined``.
-    An active fault plan's ``corrupt_read`` rules mangle the bytes *in
-    memory* after a clean read, so injected corruption is transient: the
-    retry's re-read recovers, and quarantine stays reserved for genuinely
-    bad on-disk blocks.
+    An active fault plan's ``corrupt_read`` rules fail a read without
+    touching the file, so injected corruption is transient: the retry's
+    re-read recovers, and quarantine stays reserved for genuinely bad
+    on-disk blocks.
 
-    For ``block_format="v2"`` with a ``query_box``, the compute is the
-    pruned-load fast path: mmap the extent columns, run the vectorized
-    mask straight off disk, and unpickle payload bytes only for surviving
-    rows.  Shipping this RDD to a process worker moves the directory path
-    and partition metadata — never block bytes; each worker mmaps its own
-    blocks locally.
+    With a ``query_box``, the compute is the pruned-load fast path: mmap
+    the extent columns, run the vectorized mask straight off disk, and
+    unpickle payload bytes only for surviving rows.  Shipping this RDD to
+    a process worker moves the directory path and partition metadata —
+    never block bytes; each worker mmaps its own blocks locally.
     """
 
     def __init__(
@@ -164,7 +174,6 @@ class _DiskPartitionRDD(RDD):
         stats: LoadStats,
         codec: str = "tuple",
         on_corrupt: str = "raise",
-        block_format: str = "v1",
         query_box: STBox | None = None,
     ):
         super().__init__(ctx, max(1, len(metas)))
@@ -173,18 +182,15 @@ class _DiskPartitionRDD(RDD):
         self._stats = stats
         self._codec = codec
         self._on_corrupt = on_corrupt
-        self._block_format = block_format
         self._query_box = query_box
 
     def _inject_corrupt_read(self, path: Path) -> None:
         """Honor an active fault plan's ``corrupt_read`` rules.
 
-        v1 mangles the actually-read bytes; v2 never reads the whole file,
-        so the plan decides on a small probe instead — the decision (and
-        its per-file read counter) depends only on the path, keeping chaos
-        runs format-agnostic.  Raising instead of decoding garbage means
-        the retry loop's re-read sees the (clean) on-disk bytes and
-        recovers.
+        A block read never reads the whole file, so the plan decides on a
+        small probe — the decision (and its per-file read counter) depends
+        only on the path.  Raising instead of decoding garbage means the
+        retry loop's re-read sees the (clean) on-disk bytes and recovers.
         """
         plan = getattr(self.ctx, "fault_plan", None)
         if plan is None:
@@ -202,36 +208,6 @@ class _DiskPartitionRDD(RDD):
             return []
         meta = self._metas[split]
         path = self._directory / meta.filename
-        if self._block_format == "v2":
-            return self._compute_v2(meta, path)
-        raw = path.read_bytes()
-        plan = getattr(self.ctx, "fault_plan", None)
-        if plan is not None:
-            mangled = plan.corrupt_read(path, raw)
-            if mangled is not raw:
-                from repro.engine.errors import InjectedFault
-
-                # Raise instead of decoding garbage: the retry loop's
-                # re-read sees the (clean) on-disk bytes and recovers.
-                raise InjectedFault(
-                    f"injected corrupt read of {meta.filename}",
-                    site=meta.filename,
-                )
-        try:
-            records = pickle.loads(raw)
-        except Exception as exc:
-            from repro.engine.errors import CorruptPartitionError
-
-            if self._on_corrupt == "quarantine":
-                self._stats.note_quarantined(meta.filename)
-                return []
-            raise CorruptPartitionError(meta.filename, repr(exc)) from exc
-        self._stats.note_block(meta.filename, len(records), len(raw))
-        if self._codec == "pickle":
-            return list(records)
-        return [decode_record(r) for r in records]
-
-    def _compute_v2(self, meta: PartitionMeta, path: Path) -> list:
         self._inject_corrupt_read(path)
         try:
             block = open_v2_block(path)
@@ -255,22 +231,19 @@ class _DiskPartitionRDD(RDD):
     def __getstate__(self):
         # Shipping this source to process workers means the blocks are read
         # worker-side, where mutations of the driver's LoadStats are
-        # invisible.  Account for the whole read now — exact: v1 from
-        # metadata (block count and file size equal what _compute
-        # observes), v2 by running the extent mask off the mmap without
-        # decoding any payload (scan_v2_block matches the worker's
-        # pushdown arithmetic).  Per-file dedupe (not an all-or-nothing
-        # guard): after a backend demotion mid-job, some blocks may
-        # already have been read — and accounted — driver-side.
+        # invisible.  Account for the whole read now — exact: the extent
+        # mask runs off the mmap without decoding any payload
+        # (scan_v2_block matches the worker's pushdown arithmetic).
+        # Per-file dedupe (not an all-or-nothing guard): after a backend
+        # demotion mid-job, some blocks may already have been read — and
+        # accounted — driver-side.
         for meta in self._metas:
             if self._stats.seen(meta.filename):
                 continue
-            path = self._directory / meta.filename
             try:
-                if self._block_format == "v2":
-                    records, nbytes = scan_v2_block(path, self._query_box)
-                else:
-                    records, nbytes = meta.count, path.stat().st_size
+                records, nbytes = scan_v2_block(
+                    self._directory / meta.filename, self._query_box
+                )
             except Exception:
                 # An unreadable block is the worker's problem to surface
                 # (CorruptPartitionError / quarantine); don't let stats
@@ -287,42 +260,16 @@ class StDataset:
     partitioned layout with its boundaries, :meth:`read` returns a lazy RDD
     over only the partitions surviving metadata pruning.
 
-    Two block formats coexist (autodetected from the metadata on read):
-    ``"v1"`` pickles each partition whole (``part-*.pkl``), ``"v2"``
-    persists mmap-able extent columns plus per-row payload offsets
-    (``part-*.stb``, :mod:`repro.stio.blockv2`) so pruned loads decode
-    only matching rows.  :meth:`convert` rewrites between them.
+    Each block is a v2 file (``part-*.stb``, :mod:`repro.stio.blockv2`):
+    mmap-able extent columns plus per-row payload offsets, so pruned
+    loads decode only matching rows.
     """
-
-    BLOCK_PATTERNS = {"v1": "part-{:05d}.pkl", "v2": "part-{:05d}.stb"}
-    #: Legacy alias (v1); prefer ``BLOCK_PATTERNS``.
-    BLOCK_PATTERN = BLOCK_PATTERNS["v1"]
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self._meta_cache: tuple[tuple[int, int], DatasetMetadata] | None = None
 
     # -- writing ------------------------------------------------------------------
-
-    @staticmethod
-    def _encode_block(records: Sequence, codec: str, block_format: str = "v1") -> bytes:
-        """One partition's on-disk bytes under ``codec`` + ``block_format``.
-
-        ``"tuple"`` routes records through
-        :func:`~repro.stio.formats.encode_record` (compact,
-        schema-checked); ``"pickle"`` stores records verbatim — lossless
-        for anything picklable, which is what checkpoints need (replica
-        flags, partial collective instances).
-        """
-        if codec not in ("pickle", "tuple"):
-            raise ValueError(f"unknown block codec {codec!r}")
-        if block_format == "v2":
-            return encode_v2_block(records, codec)
-        if codec == "pickle":
-            encoded: list = list(records)
-        else:
-            encoded = [encode_record(r) for r in records]
-        return pickle.dumps(encoded, protocol=pickle.HIGHEST_PROTOCOL)
 
     @staticmethod
     def _block_bounds(
@@ -348,15 +295,13 @@ class StDataset:
     def _remove_orphan_blocks(directory: Path, keep: set[str]) -> None:
         """Delete ``part-*`` block files the new metadata doesn't name.
 
-        An in-place rewrite with fewer partitions (or a format conversion,
-        which changes the extension) must not leave stale blocks behind:
-        they waste disk and poison glob-based tooling that enumerates
-        ``part-*`` files instead of reading the metadata.
+        An in-place rewrite with fewer partitions must not leave stale
+        blocks behind: they waste disk and poison glob-based tooling that
+        enumerates ``part-*`` files instead of reading the metadata.
         """
-        for pattern in StDataset.BLOCK_PATTERNS.values():
-            for stale in directory.glob(pattern.replace("{:05d}", "*")):
-                if stale.name not in keep:
-                    stale.unlink()
+        for stale in directory.glob("part-*"):
+            if stale.name not in keep:
+                stale.unlink()
 
     @classmethod
     def write(
@@ -366,7 +311,6 @@ class StDataset:
         instance_type: str,
         boundaries: Sequence[STBox] | None = None,
         codec: str = "tuple",
-        block_format: str = "v1",
         watermark: float | None = None,
     ) -> "StDataset":
         """Persist partition lists and build the metadata index.
@@ -377,12 +321,15 @@ class StDataset:
         partitions that hold no records.  A record with an infinite
         coordinate or timestamp raises :class:`NonFiniteRecordError`
         before anything is written.
+
+        ``codec`` names how records encode within a block: ``"tuple"``
+        routes them through :func:`~repro.stio.formats.encode_record`
+        (compact, schema-checked); ``"pickle"`` stores them verbatim —
+        lossless for anything picklable, which is what checkpoints need
+        (replica flags, partial collective instances).
         """
-        if block_format not in BLOCK_FORMATS:
-            raise ValueError(
-                f"unknown block format {block_format!r} "
-                f"(supported: {', '.join(BLOCK_FORMATS)})"
-            )
+        if codec not in ("pickle", "tuple"):
+            raise ValueError(f"unknown block codec {codec!r}")
         partitions = list(partitions)
         bounds = [
             cls._block_bounds(records, boundaries, i, codec)
@@ -391,8 +338,8 @@ class StDataset:
         _require_finite(partitions, bounds)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        # Rewriting an existing dataset in place (re-index / repartition /
-        # format conversion) is an edit like any other: continue its
+        # Rewriting an existing dataset in place (re-index / repartition)
+        # is an edit like any other: continue its
         # generation counter so long-lived readers keyed on it (the serve
         # result cache) miss.  The streaming watermark survives rewrites
         # the same way — compaction reshuffles blocks, it does not change
@@ -406,13 +353,10 @@ class StDataset:
                     watermark = existing.watermark
             except (ValueError, FileNotFoundError):
                 generation = 1
-        pattern = cls.BLOCK_PATTERNS[block_format]
         metas = []
         for i, records in enumerate(partitions):
-            filename = pattern.format(i)
-            (directory / filename).write_bytes(
-                cls._encode_block(records, codec, block_format)
-            )
+            filename = _BLOCK_NAME.format(i)
+            (directory / filename).write_bytes(encode_v2_block(records, codec))
             metas.append(
                 PartitionMeta(filename=filename, count=len(records), bounds=bounds[i])
             )
@@ -421,7 +365,6 @@ class StDataset:
             partitions=metas,
             codec=codec,
             generation=generation,
-            block_format=block_format,
             watermark=watermark,
         ).save(directory)
         cls._remove_orphan_blocks(directory, {m.filename for m in metas})
@@ -435,7 +378,6 @@ class StDataset:
         instance_type: str,
         partitioner: "STPartitioner | None" = None,
         sample_fraction: float = 0.1,
-        block_format: str = "v1",
     ) -> "StDataset":
         """Optionally ST-partition an RDD, then persist it.
 
@@ -448,13 +390,7 @@ class StDataset:
             rdd, boundaries = partitioner.partition_with_info(
                 rdd, sample_fraction=sample_fraction
             )
-        return cls.write(
-            directory,
-            rdd._collect_partitions(),
-            instance_type,
-            boundaries,
-            block_format=block_format,
-        )
+        return cls.write(directory, rdd._collect_partitions(), instance_type, boundaries)
 
     def append(
         self,
@@ -467,7 +403,7 @@ class StDataset:
         The periodic-indexing workflow of Section 4.1's discussion:
         "application programmers may periodically index the new group of
         data and merge the metadata file with the existing ones."  New
-        block files continue the existing numbering and block format; the
+        block files continue the existing numbering and codec; the
         metadata files are merged — incrementally: existing partition
         entries are reused as-is, only the new blocks' entries are
         computed.  ``watermark``, when given, is the batch's high-water
@@ -484,12 +420,11 @@ class StDataset:
         ]
         _require_finite(partitions, bounds)
         offset = len(existing.partitions)
-        pattern = self.BLOCK_PATTERNS[existing.block_format]
         new_metas = []
         for i, records in enumerate(partitions):
-            filename = pattern.format(offset + i)
+            filename = _BLOCK_NAME.format(offset + i)
             (self.directory / filename).write_bytes(
-                self._encode_block(records, existing.codec, existing.block_format)
+                encode_v2_block(records, existing.codec)
             )
             new_metas.append(
                 PartitionMeta(filename=filename, count=len(records), bounds=bounds[i])
@@ -499,7 +434,6 @@ class StDataset:
                 instance_type=existing.instance_type,
                 partitions=new_metas,
                 codec=existing.codec,
-                block_format=existing.block_format,
                 watermark=watermark,
             )
         )
@@ -520,33 +454,6 @@ class StDataset:
             )
         return self.append(rdd._collect_partitions(), boundaries)
 
-    def convert(
-        self, block_format: str, out: str | Path | None = None
-    ) -> "StDataset":
-        """Rewrite every block into ``block_format``; returns the result.
-
-        Partition layout, record order, codec, and per-partition bounds
-        are preserved exactly, so selections over the converted dataset
-        answer byte-for-byte identically.  With ``out=None`` the dataset
-        is converted in place (generation bumps, old-format blocks are
-        removed); otherwise a sibling copy is written and the source is
-        untouched.  Surfaced on the CLI as ``repro convert-format``.
-        """
-        meta = self.metadata()
-        partitions = [
-            self.read_block(m, codec=meta.codec, block_format=meta.block_format)
-            for m in meta.partitions
-        ]
-        return StDataset.write(
-            out if out is not None else self.directory,
-            partitions,
-            meta.instance_type,
-            boundaries=[m.bounds for m in meta.partitions],
-            codec=meta.codec,
-            block_format=block_format,
-            watermark=meta.watermark,
-        )
-
     # -- streaming ----------------------------------------------------------------
 
     def ingest(
@@ -555,7 +462,7 @@ class StDataset:
         partitioner: "STPartitioner | None" = None,
         rebalance_threshold: int | None = None,
         instance_type: str | None = None,
-        block_format: str = "v1",
+        block_format: str = BLOCK_FORMAT,
     ) -> "IngestReport":
         """Append one micro-batch and advance the persisted watermark.
 
@@ -566,17 +473,19 @@ class StDataset:
         the block count crosses ``rebalance_threshold``.  Creates the
         dataset on first call (``instance_type`` required then).  See
         :func:`repro.stream.ingest_batch` for the full contract; returns
-        its :class:`~repro.stream.IngestReport`.
+        its :class:`~repro.stream.IngestReport`.  ``block_format`` accepts
+        only ``"v2"``; any other value raises ``ValueError`` before a file
+        is written.
         """
         from repro.stream.ingest import ingest_batch
 
+        _require_v2(block_format)
         return ingest_batch(
             self,
             batch,
             partitioner=partitioner,
             rebalance_threshold=rebalance_threshold,
             instance_type=instance_type,
-            block_format=block_format,
         )
 
     def compact(self, partitioner: "STPartitioner | None" = None) -> int:
@@ -616,7 +525,6 @@ class StDataset:
         self,
         meta: PartitionMeta,
         codec: str | None = None,
-        block_format: str | None = None,
         on_corrupt: str = "raise",
     ) -> list:
         """Eagerly read and decode one partition's block file.
@@ -625,53 +533,39 @@ class StDataset:
         :meth:`read` (a lazy RDD that re-reads and re-decodes per
         evaluation), this returns a plain list the caller can keep — the
         stable list identity is what lets the per-partition
-        selection-index cache hit across queries.  ``codec`` and
-        ``block_format`` default to the dataset's metadata values via
-        :meth:`cached_metadata` (a stat, not a re-parse, per call);
-        callers holding the metadata should pass both.  An undecodable
+        selection-index cache hit across queries.  ``codec`` defaults to
+        the dataset's metadata value via :meth:`cached_metadata` (a stat,
+        not a re-parse, per call); callers holding the metadata should
+        pass it.  An undecodable
         block honors the same corruption contract as the lazy reader:
         :class:`~repro.engine.errors.CorruptPartitionError` naming the
         file, or an empty list under ``on_corrupt="quarantine"``.
         """
-        records, _ = self.read_block_indexed(
-            meta, codec=codec, block_format=block_format, on_corrupt=on_corrupt
-        )
+        records, _ = self.read_block_indexed(meta, codec=codec, on_corrupt=on_corrupt)
         return records
 
     def read_block_indexed(
         self,
         meta: PartitionMeta,
         codec: str | None = None,
-        block_format: str | None = None,
         on_corrupt: str = "raise",
     ) -> tuple[list, object | None]:
         """:meth:`read_block`, plus the block's columnar selection index.
 
-        For v2 blocks the second element is a
-        :class:`~repro.columnar.boxtable.BoxTable` whose extent columns
-        are *views into the mmapped file* — the serve daemon seeds the
-        selection-index cache with it, so resident partitions never
-        re-extract bounds instance-by-instance.  ``None`` for v1 blocks
-        and non-filterable v2 blocks.
+        The second element is a :class:`~repro.columnar.boxtable.BoxTable`
+        whose extent columns are *views into the mmapped file* — the serve
+        daemon seeds the selection-index cache with it, so resident
+        partitions never re-extract bounds instance-by-instance.  ``None``
+        for non-filterable blocks.
         """
-        if codec is None or block_format is None:
-            cached = self.cached_metadata()
-            codec = codec if codec is not None else cached.codec
-            block_format = (
-                block_format if block_format is not None else cached.block_format
-            )
-        path = self.directory / meta.filename
+        if codec is None:
+            codec = self.cached_metadata().codec
         from repro.engine.errors import CorruptPartitionError
 
         try:
-            if block_format == "v2":
-                block = open_v2_block(path)
-                records = block.decode_all(codec)
-                return records, block.boxtable(records)
-            records = pickle.loads(path.read_bytes())
-            if codec == "pickle":
-                return list(records), None
-            return [decode_record(r) for r in records], None
+            block = open_v2_block(self.directory / meta.filename)
+            records = block.decode_all(codec)
+            return records, block.boxtable(records)
         except Exception as exc:
             if on_corrupt == "quarantine":
                 return [], None
@@ -697,8 +591,8 @@ class StDataset:
         ``use_metadata=False`` loads everything — the "native Spark" mode
         Figure 5 compares against.  The returned RDD still needs in-memory
         fine-grained filtering (step (3) of Figure 4); the Selector does
-        that with per-partition R-trees.  For v2 datasets a metadata-pruned
-        read additionally pushes the query box down to the block reader:
+        that with per-partition R-trees.  A metadata-pruned read
+        additionally pushes the query box down to the block reader:
         extent columns are mmapped, masked off disk, and only matching
         rows' payloads are unpickled — the coarse mask is a superset of
         the fine filter, so downstream results are unchanged.
@@ -720,11 +614,7 @@ class StDataset:
             partitions_selected=len(selected),
         )
         query_box = None
-        if (
-            use_metadata
-            and meta.block_format == "v2"
-            and (spatial is not None or temporal is not None)
-        ):
+        if use_metadata and (spatial is not None or temporal is not None):
             query_box = st_query_box(spatial, temporal)
         rdd = _DiskPartitionRDD(
             ctx,
@@ -733,7 +623,6 @@ class StDataset:
             stats,
             codec=meta.codec,
             on_corrupt=on_corrupt,
-            block_format=meta.block_format,
             query_box=query_box,
         )
         return rdd, stats
@@ -746,14 +635,17 @@ def save_dataset(
     partitioner: "STPartitioner | None" = None,
     num_partitions: int = 8,
     ctx: EngineContext | None = None,
-    block_format: str = "v1",
+    block_format: str = BLOCK_FORMAT,
 ) -> StDataset:
-    """Convenience writer from a plain instance list."""
+    """Convenience writer from a plain instance list.
+
+    ``block_format`` accepts only ``"v2"``; any other value raises
+    ``ValueError`` before a file is written.
+    """
+    _require_v2(block_format)
     own_ctx = ctx or EngineContext(default_parallelism=num_partitions)
     rdd = own_ctx.parallelize(instances, num_partitions)
-    return StDataset.write_rdd(
-        directory, rdd, instance_type, partitioner, block_format=block_format
-    )
+    return StDataset.write_rdd(directory, rdd, instance_type, partitioner)
 
 
 def load_dataset(

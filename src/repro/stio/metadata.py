@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,8 +14,25 @@ from repro.temporal.duration import Duration
 
 METADATA_FILENAME = "metadata.json"
 FORMAT_VERSION = 1
-#: Known per-partition block encodings; see :mod:`repro.stio.blockv2`.
-BLOCK_FORMATS = ("v1", "v2")
+#: The one block layout, recorded in every metadata file; see
+#: :mod:`repro.stio.blockv2`.
+BLOCK_FORMAT = "v2"
+
+
+class LegacyLayoutError(ValueError):
+    """A metadata file names a block layout other than v2.
+
+    Files without a ``block_format`` key, or with ``"v1"``, describe the
+    removed pickle-per-partition layout (``part-*.pkl``); nothing reads
+    those blocks any more, so the dataset has to be regenerated.
+    """
+
+    def __init__(self, path: Path, block_format: object):
+        super().__init__(
+            f"metadata file {path} names block layout {block_format!r}: the v1 "
+            f"pickle-per-partition layout was removed and only {BLOCK_FORMAT!r} "
+            f"blocks are read; regenerate the dataset"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,12 +95,10 @@ class DatasetMetadata:
     instances the tuple format cannot round-trip).  Absent in older
     metadata files, which are all tuple-encoded.
 
-    ``block_format`` names how partitions are laid out *as files*:
-    ``"v1"`` (one pickle per block, ``part-*.pkl``) or ``"v2"`` (the
-    mmap-able columnar layout of :mod:`repro.stio.blockv2`,
-    ``part-*.stb``).  Orthogonal to ``codec``, which names how individual
-    records encode *within* a block.  Absent in older metadata files,
-    which are all v1.
+    Every partition is one v2 block file (``part-*.stb``, the mmap-able
+    columnar layout of :mod:`repro.stio.blockv2`); the file records
+    ``"block_format": "v2"`` and :meth:`load` rejects anything else with
+    :class:`LegacyLayoutError`.
 
     ``generation`` is a monotonically increasing edit counter for the
     dataset *as a whole*: every append bumps it (see :meth:`merged_with`)
@@ -110,7 +126,6 @@ class DatasetMetadata:
     version: int = FORMAT_VERSION
     codec: str = "tuple"
     generation: int = 0
-    block_format: str = "v1"
     watermark: float | None = None
 
     @property
@@ -135,22 +150,30 @@ class DatasetMetadata:
         directory): readers racing an ingest see either the old metadata
         or the new one, never a torn file.  This is what makes the
         watermark advance *transactional* — partitions, generation, and
-        watermark publish in one rename.
+        watermark publish in one rename.  Each writer gets its own temp
+        file, so concurrent saves never rename one another's file away.
         """
         path = Path(directory) / METADATA_FILENAME
         payload = {
             "version": self.version,
             "instance_type": self.instance_type,
             "codec": self.codec,
-            "block_format": self.block_format,
+            "block_format": BLOCK_FORMAT,
             "generation": self.generation,
             "partitions": [p.to_dict() for p in self.partitions],
         }
         if self.watermark is not None:
             payload["watermark"] = self.watermark
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1))
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w") as f:
+                os.fchmod(f.fileno(), 0o644)  # mkstemp's 0600 would hide it
+                f.write(json.dumps(payload, indent=1))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         return path
 
     @classmethod
@@ -171,12 +194,10 @@ class DatasetMetadata:
                 f"metadata format {payload['version']} is newer than supported "
                 f"({FORMAT_VERSION})"
             )
+        # No key at all: written before v2 existed, i.e. v1 blocks.
         block_format = payload.get("block_format", "v1")
-        if block_format not in BLOCK_FORMATS:
-            raise ValueError(
-                f"metadata file {path} names unsupported block format "
-                f"{block_format!r} (supported: {', '.join(BLOCK_FORMATS)})"
-            )
+        if block_format != BLOCK_FORMAT:
+            raise LegacyLayoutError(path, block_format)
         watermark = payload.get("watermark")
         return cls(
             instance_type=payload["instance_type"],
@@ -184,7 +205,6 @@ class DatasetMetadata:
             version=payload["version"],
             codec=payload.get("codec", "tuple"),
             generation=int(payload.get("generation", 0)),
-            block_format=block_format,
             watermark=float(watermark) if watermark is not None else None,
         )
 
@@ -195,8 +215,6 @@ class DatasetMetadata:
             raise ValueError("cannot merge metadata of different instance types")
         if other.codec != self.codec:
             raise ValueError("cannot merge metadata of different block codecs")
-        if other.block_format != self.block_format:
-            raise ValueError("cannot merge metadata of different block formats")
         if self.watermark is None:
             watermark = other.watermark
         elif other.watermark is None:
@@ -212,6 +230,5 @@ class DatasetMetadata:
             # An append is an edit: cached answers against the old
             # generation must stop hitting.
             generation=self.generation + 1,
-            block_format=self.block_format,
             watermark=watermark,
         )

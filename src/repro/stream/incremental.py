@@ -4,7 +4,7 @@ The batch pipeline re-reads the whole dataset on every run.  This module
 exploits the append-only block layout instead: ingested blocks only ever
 land *after* the existing ones, so "everything new since the last run" is
 exactly ``partitions[position:]`` — an offset read, with the usual
-metadata pruning and v2 query-box pushdown applied on top.
+metadata pruning and query-box pushdown applied on top.
 
 Parity is the contract, not an aspiration.  A no-partitioner selection
 preserves the one-partition-per-block layout, conversion emits exactly
@@ -149,7 +149,7 @@ def run_incremental(
     * **since mode** (pass ``since``, typically the watermark persisted
       before the latest ingests): stateless; selects blocks whose
       temporal bounds reach strictly past ``since`` via the ordinary
-      metadata pruning (and v2 pushdown), runs the full pipeline over
+      metadata pruning (and pushdown), runs the full pipeline over
       just those, and returns that slice's features.  Boundary records
       with end time exactly ``since`` are *excluded* (the watermark is
       the max end already ingested, so they were already processed).

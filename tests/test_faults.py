@@ -429,14 +429,14 @@ def _write_event_dataset(directory, n=40, partitions=8):
 class TestCorruptPartitions:
     def test_raise_surfaces_corrupt_partition_error(self, tmp_path):
         _write_event_dataset(tmp_path / "ds")
-        (tmp_path / "ds" / "part-00002.pkl").write_bytes(b"not a pickle")
+        (tmp_path / "ds" / "part-00002.stb").write_bytes(b"not a block")
         ctx = make_ctx()
         try:
             rdd, _ = StDataset(tmp_path / "ds").read(ctx, use_metadata=False)
             with pytest.raises(TaskFailure) as exc_info:
                 rdd.collect()
             assert isinstance(exc_info.value.cause, CorruptPartitionError)
-            assert "part-00002.pkl" in str(exc_info.value.cause)
+            assert "part-00002.stb" in str(exc_info.value.cause)
         finally:
             ctx.stop()
 
@@ -444,7 +444,7 @@ class TestCorruptPartitions:
         events = _write_event_dataset(tmp_path / "ds")
         meta = StDataset(tmp_path / "ds").metadata()
         lost = meta.partitions[2].count
-        (tmp_path / "ds" / "part-00002.pkl").write_bytes(b"not a pickle")
+        (tmp_path / "ds" / "part-00002.stb").write_bytes(b"not a block")
         ctx = make_ctx()
         try:
             rdd, stats = StDataset(tmp_path / "ds").read(
@@ -452,7 +452,7 @@ class TestCorruptPartitions:
             )
             assert rdd.count() == len(events) - lost
             assert stats.partitions_quarantined == 1
-            assert stats.quarantined_files == ["part-00002.pkl"]
+            assert stats.quarantined_files == ["part-00002.stb"]
         finally:
             ctx.stop()
 
@@ -460,7 +460,7 @@ class TestCorruptPartitions:
         from repro.obs import Tracer, installed
 
         _write_event_dataset(tmp_path / "ds")
-        (tmp_path / "ds" / "part-00001.pkl").write_bytes(b"junk")
+        (tmp_path / "ds" / "part-00001.stb").write_bytes(b"junk")
         ctx = make_ctx()
         tracer = Tracer()
         try:

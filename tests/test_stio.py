@@ -1,6 +1,7 @@
 """On-disk dataset, metadata index, and format codec tests."""
 
 import json
+import os
 
 import pytest
 
@@ -91,7 +92,7 @@ class TestMetadata:
         meta = DatasetMetadata(
             instance_type="event",
             partitions=[
-                PartitionMeta("part-00000.pkl", 10, STBox((0, 0, 0), (1, 1, 1))),
+                PartitionMeta("part-00000.stb", 10, STBox((0, 0, 0), (1, 1, 1))),
             ],
         )
         meta.save(tmp_path)
@@ -103,6 +104,37 @@ class TestMetadata:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             DatasetMetadata.load(tmp_path)
+
+    def test_concurrent_saves_do_not_share_a_temp_file(self, tmp_path, monkeypatch):
+        # A second save completes between the first writer's write and
+        # its rename; both commits must land, the later rename winning.
+        first = DatasetMetadata("event", [], generation=1)
+        second = DatasetMetadata("event", [], generation=2)
+        real_replace = os.replace
+        interposed = []
+
+        def replace(src, dst):
+            if not interposed:
+                interposed.append(src)
+                second.save(tmp_path)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        first.save(tmp_path)
+        assert DatasetMetadata.load(tmp_path).generation == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["metadata.json"]
+
+    def test_failed_save_removes_its_temp_file(self, tmp_path, monkeypatch):
+        DatasetMetadata("event", [], generation=1).save(tmp_path)
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            DatasetMetadata("event", [], generation=2).save(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["metadata.json"]
+        assert DatasetMetadata.load(tmp_path).generation == 1
 
     def test_corrupted_json(self, tmp_path):
         (tmp_path / "metadata.json").write_text("{not json")
@@ -236,31 +268,26 @@ class TestNonFiniteRejected:
 
     BAD_KINDS = ["x+inf", "y-inf", "t+inf", "t-inf"]
 
-    @pytest.mark.parametrize("block_format", ["v1", "v2"])
+    # "v2" is the one value the block_format compatibility argument takes.
+    @pytest.mark.parametrize("block_format", ["v2"])
     @pytest.mark.parametrize("bad_kind", BAD_KINDS)
     def test_write_and_write_rdd(self, tmp_path, block_format, bad_kind):
         records = _with_non_finite(bad_kind)
         with pytest.raises(NonFiniteRecordError, match="infinite"):
-            StDataset.write(
-                tmp_path / "w", [records[:40], records[40:]], "event",
-                block_format=block_format,
-            )
-        ctx = EngineContext(default_parallelism=2)
+            StDataset.write(tmp_path / "w", [records[:40], records[40:]], "event")
         with pytest.raises(NonFiniteRecordError):
-            StDataset.write_rdd(
-                tmp_path / "wr", ctx.parallelize(records, 2), "event",
+            save_dataset(
+                tmp_path / "wr", records, "event", num_partitions=2,
                 partitioner=TSTRPartitioner(2, 2), block_format=block_format,
             )
         assert _listing(tmp_path / "w") is None
         assert _listing(tmp_path / "wr") is None
 
-    @pytest.mark.parametrize("block_format", ["v1", "v2"])
+    @pytest.mark.parametrize("block_format", ["v2"])
     @pytest.mark.parametrize("bad_kind", BAD_KINDS)
     def test_append_and_ingest(self, tmp_path, block_format, bad_kind):
         records = _with_non_finite(bad_kind)
-        ds = StDataset.write(
-            tmp_path / "d", [make_events(30, seed=3)], "event", block_format=block_format
-        )
+        ds = StDataset.write(tmp_path / "d", [make_events(30, seed=3)], "event")
         before = _listing(tmp_path / "d")
         with pytest.raises(NonFiniteRecordError):
             ds.append([records])
@@ -273,7 +300,7 @@ class TestNonFiniteRejected:
         assert _listing(tmp_path / "fresh") is None
 
     def test_finite_bounds_recorded(self, tmp_path):
-        ds = StDataset.write(tmp_path / "ok", [make_events(40)], "event", block_format="v2")
+        ds = StDataset.write(tmp_path / "ok", [make_events(40)], "event")
         bounds = ds.metadata().partitions[0].bounds
         assert all(abs(v) < 1e6 for v in bounds.mins + bounds.maxs)
 

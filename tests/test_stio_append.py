@@ -61,7 +61,7 @@ class TestAppend:
         assert out.count() == 50
         stats = selector.last_load_stats
         # Only the appended partitions should have been read.
-        assert set(stats.files) == {"part-00002.pkl", "part-00003.pkl"}
+        assert set(stats.files) == {"part-00002.stb", "part-00003.stb"}
         assert stats.records_loaded == 50
 
     def test_append_block_numbering_continues(self, ctx, tmp_path):
@@ -69,8 +69,8 @@ class TestAppend:
         ds.append(
             [[ev for ev in make_events(10, seed=86)]]
         )
-        files = sorted(p.name for p in (tmp_path / "d").glob("part-*.pkl"))
-        assert files == ["part-00000.pkl", "part-00001.pkl", "part-00002.pkl"]
+        files = sorted(p.name for p in (tmp_path / "d").glob("part-*.stb"))
+        assert files == ["part-00000.stb", "part-00001.stb", "part-00002.stb"]
 
     def test_append_empty_partition(self, ctx, tmp_path):
         ds = save_dataset(tmp_path / "d", make_events(20, seed=87), "event", num_partitions=1, ctx=ctx)

@@ -1,4 +1,4 @@
-"""v2 block format: round-trip, parity, pushdown, conversion, corruption.
+"""v2 blocks: round-trip, oracle parity, pushdown, legacy rejection, corruption.
 
 Also the regression tests for the block-decode hot-path fixes that landed
 with the format: ``read_block`` metadata caching and corruption contract,
@@ -7,6 +7,7 @@ with the format: ``read_block`` metadata caching and corruption contract,
 
 from __future__ import annotations
 
+import json
 import pickle
 import threading
 
@@ -24,8 +25,10 @@ from repro.engine.faults import FaultPlan, FaultRule
 from repro.geometry import Envelope, LineString, Point, Polygon
 from repro.instances import Event
 from repro.partitioners import TSTRPartitioner
+from repro.index.boxes import st_query_box
 from repro.stio import (
     DatasetMetadata,
+    LegacyLayoutError,
     StDataset,
     V2Block,
     encode_v2_block,
@@ -34,6 +37,7 @@ from repro.stio import (
     scan_v2_block,
 )
 from repro.temporal import Duration
+from tests import oracles
 from tests.conftest import make_events, make_trajectories
 
 QUERY_SPATIAL = Envelope(1.0, 1.0, 3.0, 3.0)
@@ -160,32 +164,55 @@ class TestV2BlockRoundTrip:
 class TestV2Dataset:
     def test_write_uses_stb_blocks_and_autodetects(self, ctx, tmp_path):
         events = make_events(120)
-        ds = save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        ds = save_dataset(tmp_path / "ds", events, "event")
         meta = ds.metadata()
-        assert meta.block_format == "v2"
+        assert json.loads((tmp_path / "ds" / "metadata.json").read_text())[
+            "block_format"
+        ] == "v2"
         assert all(m.filename.endswith(".stb") for m in meta.partitions)
         # No format argument anywhere: read() autodetects from metadata.
         rdd, _ = StDataset(tmp_path / "ds").read(ctx)
         assert _identities(rdd.collect()) == _identities(events)
 
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
     @pytest.mark.parametrize("mk", [make_events, make_trajectories])
-    def test_selection_parity_v1_vs_v2(self, ctx, tmp_path, mk):
+    def test_selection_matches_oracle(self, ctx, tmp_path, mk, backend):
+        # save_dataset writes one block per in-memory partition, so the
+        # oracle's per-partition filter over the same slicing must match
+        # the pushdown read partition by partition, in order.
         data = mk(150)
         itype = "event" if mk is make_events else "trajectory"
-        save_dataset(tmp_path / "v1", data, itype, block_format="v1")
-        save_dataset(tmp_path / "v2", data, itype, block_format="v2")
-        results = {}
-        for fmt in ("v1", "v2"):
-            invalidate_partition_indexes()
+        ds = save_dataset(tmp_path / "ds", data, itype, num_partitions=8)
+        expected = oracles.select(
+            ctx.parallelize(data, 8), QUERY_SPATIAL, QUERY_TEMPORAL
+        ).glom().collect()
+        run_ctx = EngineContext(
+            default_parallelism=2,
+            backend=backend,
+            backend_options={"warmup": False} if backend == "process" else None,
+        )
+        try:
             selector = Selector(QUERY_SPATIAL, QUERY_TEMPORAL)
-            results[fmt] = _identities(
-                selector.select(ctx, tmp_path / fmt).collect()
-            )
-        assert results["v1"] == results["v2"]
+            got = selector.select(run_ctx, tmp_path / "ds").glom().collect()
+        finally:
+            run_ctx.stop()
+        assert [p for p in got if p] == [p for p in expected if p]
+        assert any(expected) and sum(map(len, expected)) < len(data)
+        # Load accounting equals what a pushdown scan of each selected
+        # block reports, whether the blocks were read on the driver or in
+        # a worker.
+        box = st_query_box(QUERY_SPATIAL, QUERY_TEMPORAL)
+        scans = [
+            scan_v2_block(tmp_path / "ds" / m.filename, box)
+            for m in ds.metadata().select_partitions(QUERY_SPATIAL, QUERY_TEMPORAL)
+        ]
+        stats = selector.last_load_stats
+        assert stats.records_loaded == sum(n for n, _ in scans)
+        assert stats.bytes_read == sum(b for _, b in scans)
 
     def test_pruned_read_decodes_only_matching_rows(self, ctx, tmp_path):
         events = make_events(300)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         rdd, stats = StDataset(tmp_path / "ds").read(
             ctx, QUERY_SPATIAL, QUERY_TEMPORAL
         )
@@ -201,7 +228,7 @@ class TestV2Dataset:
         # filter: every row the pushdown loads is decoded exactly once.
         import repro.stio.blockv2 as blockv2
 
-        save_dataset(tmp_path / "ds", make_events(600), "event", block_format="v2")
+        save_dataset(tmp_path / "ds", make_events(600), "event")
         decodes = []
         decode = blockv2.decode_record
         monkeypatch.setattr(
@@ -221,102 +248,83 @@ class TestV2Dataset:
 
     def test_unpruned_read_loads_everything(self, ctx, tmp_path):
         events = make_events(100)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         rdd, stats = StDataset(tmp_path / "ds").read(ctx, use_metadata=False)
         assert len(rdd.collect()) == len(events)
         assert stats.records_loaded == len(events)
 
     def test_append_continues_v2_format(self, ctx, tmp_path):
         events = make_events(80)
-        ds = save_dataset(
-            tmp_path / "ds", events[:40], "event", num_partitions=2, block_format="v2"
-        )
+        ds = save_dataset(tmp_path / "ds", events[:40], "event", num_partitions=2)
         ds.append([events[40:60], events[60:]])
         meta = ds.metadata()
-        assert meta.block_format == "v2"
         assert [m.filename for m in meta.partitions][-1] == "part-00003.stb"
         rdd, _ = ds.read(ctx)
         assert _identities(rdd.collect()) == _identities(events)
 
     def test_unknown_block_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="block format"):
-            StDataset.write(tmp_path / "ds", [[]], "event", block_format="v3")
         save_dataset(tmp_path / "ok", make_events(10), "event")
         meta_path = tmp_path / "ok" / "metadata.json"
         meta_path.write_text(
-            meta_path.read_text().replace('"block_format": "v1"', '"block_format": "v9"')
+            meta_path.read_text().replace('"block_format": "v2"', '"block_format": "v9"')
         )
-        with pytest.raises(ValueError, match="block format"):
+        with pytest.raises(LegacyLayoutError, match="'v9'.*regenerate the dataset"):
             StDataset(tmp_path / "ok").metadata()
 
-    def test_merge_rejects_mixed_formats(self):
-        v1 = DatasetMetadata(instance_type="event", partitions=[], block_format="v1")
-        v2 = DatasetMetadata(instance_type="event", partitions=[], block_format="v2")
-        with pytest.raises(ValueError, match="block formats"):
-            v1.merged_with(v2)
 
-    def test_process_backend_parity(self, tmp_path):
-        events = make_events(120)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
-        seq_ctx = EngineContext(default_parallelism=4)
-        proc_ctx = EngineContext(
-            default_parallelism=2, backend="process", backend_options={"warmup": False}
-        )
-        try:
-            seq_rdd, seq_stats = StDataset(tmp_path / "ds").read(
-                seq_ctx, QUERY_SPATIAL, QUERY_TEMPORAL
+def _make_legacy(directory, block_format):
+    """Rewrite a v2 dataset's metadata the way a legacy writer left it."""
+    meta_path = directory / "metadata.json"
+    payload = json.loads(meta_path.read_text())
+    if block_format is None:
+        del payload["block_format"]
+    else:
+        payload["block_format"] = block_format
+    meta_path.write_text(json.dumps(payload))
+
+
+class TestLegacyInput:
+    @pytest.mark.parametrize("block_format", [None, "v1"])
+    def test_legacy_metadata_rejected_everywhere(self, ctx, tmp_path, block_format):
+        from repro.cli import main as cli_main
+
+        ds = save_dataset(tmp_path / "ds", make_events(40), "event")
+        part = ds.metadata().partitions[0]
+        _make_legacy(tmp_path / "ds", block_format)
+        match = "v1 pickle-per-partition layout was removed"
+        with pytest.raises(LegacyLayoutError, match=match):
+            StDataset(tmp_path / "ds").read(ctx)
+        with pytest.raises(LegacyLayoutError, match=match):
+            StDataset(tmp_path / "ds").read_block(part)
+        with pytest.raises(LegacyLayoutError, match=match):
+            cli_main(["info", str(tmp_path / "ds")])
+
+    def test_save_dataset_rejects_v1_before_writing(self, tmp_path):
+        (tmp_path / "ds").mkdir()
+        with pytest.raises(ValueError, match="'v1'"):
+            save_dataset(tmp_path / "ds", make_events(40), "event", block_format="v1")
+        assert list((tmp_path / "ds").iterdir()) == []
+
+    def test_ingest_rejects_v1_before_writing(self, tmp_path):
+        (tmp_path / "feed").mkdir()
+        with pytest.raises(ValueError, match="'v1'"):
+            StDataset(tmp_path / "feed").ingest(
+                make_events(40), instance_type="event", block_format="v1"
             )
-            proc_rdd, proc_stats = StDataset(tmp_path / "ds").read(
-                proc_ctx, QUERY_SPATIAL, QUERY_TEMPORAL
-            )
-            assert _identities(seq_rdd.collect()) == _identities(proc_rdd.collect())
-            # Driver-side scan accounting equals worker-side observation.
-            assert proc_stats.records_loaded == seq_stats.records_loaded
-            assert proc_stats.bytes_read == seq_stats.bytes_read
-        finally:
-            seq_ctx.stop()
-            proc_ctx.stop()
+        assert list((tmp_path / "feed").iterdir()) == []
 
+    def test_checkpoint_round_trip_writes_unfilterable_blocks(self, ctx, tmp_path):
+        from repro.engine.faults.checkpoint import PipelineCheckpoint
 
-class TestConvert:
-    def test_in_place_conversion(self, ctx, tmp_path):
-        events = make_events(90)
-        ds = save_dataset(tmp_path / "ds", events, "event", num_partitions=5)
-        generation = ds.metadata().generation
-        converted = ds.convert("v2")
-        meta = converted.metadata()
-        assert meta.block_format == "v2"
-        assert meta.generation == generation + 1
-        assert not list((tmp_path / "ds").glob("part-*.pkl"))
-        rdd, _ = converted.read(ctx)
-        assert _identities(rdd.collect()) == _identities(events)
-
-    def test_conversion_to_copy_preserves_source(self, ctx, tmp_path):
-        events = make_events(60)
-        ds = save_dataset(tmp_path / "src", events, "event")
-        converted = ds.convert("v2", out=tmp_path / "dst")
-        assert ds.metadata().block_format == "v1"
-        assert converted.metadata().block_format == "v2"
-        from repro.index.boxes import st_query_box
-
-        box = st_query_box(QUERY_SPATIAL, QUERY_TEMPORAL)
-        expected = _identities([e for e in events if e.st_box().intersects(box)])
-        for d in ("src", "dst"):
-            invalidate_partition_indexes()
-            selector = Selector(QUERY_SPATIAL, QUERY_TEMPORAL)
-            assert (
-                _identities(selector.select(ctx, tmp_path / d).collect()) == expected
-            )
-
-    def test_round_trip_back_to_v1(self, ctx, tmp_path):
-        events = make_events(70)
-        ds = save_dataset(tmp_path / "ds", events, "event", block_format="v2")
-        back = ds.convert("v1")
-        meta = back.metadata()
-        assert meta.block_format == "v1"
-        assert not list((tmp_path / "ds").glob("part-*.stb"))
-        rdd, _ = back.read(ctx)
-        assert _identities(rdd.collect()) == _identities(events)
+        # Phase outputs without an ST extent: (key, value) pairs.
+        phase = ctx.parallelize([(i % 3, {"n": i}) for i in range(30)], 4)
+        ckpt = PipelineCheckpoint(tmp_path / "ck", ctx)
+        expected = ckpt.save("select", phase).glom().collect()
+        blocks = sorted((tmp_path / "ck" / "select").glob("part-*"))
+        assert [b.name for b in blocks] == [f"part-{i:05d}.stb" for i in range(4)]
+        assert not any(open_v2_block(b).filterable for b in blocks)
+        assert ckpt.has("select")
+        assert ckpt.load("select").glom().collect() == expected
 
 
 # -- corruption -------------------------------------------------------------------
@@ -324,7 +332,7 @@ class TestConvert:
 
 class TestV2Corruption:
     def test_corrupt_v2_block_raises_with_filename(self, ctx, tmp_path):
-        save_dataset(tmp_path / "ds", make_events(60), "event", block_format="v2")
+        save_dataset(tmp_path / "ds", make_events(60), "event")
         (tmp_path / "ds" / "part-00001.stb").write_bytes(b"scrambled")
         rdd, _ = StDataset(tmp_path / "ds").read(ctx, use_metadata=False)
         with pytest.raises(TaskFailure) as exc_info:
@@ -334,7 +342,7 @@ class TestV2Corruption:
 
     def test_quarantine_skips_corrupt_v2_block(self, ctx, tmp_path):
         events = make_events(60)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         lost = StDataset(tmp_path / "ds").metadata().partitions[1].count
         (tmp_path / "ds" / "part-00001.stb").write_bytes(b"scrambled")
         rdd, stats = StDataset(tmp_path / "ds").read(
@@ -346,7 +354,7 @@ class TestV2Corruption:
 
     def test_injected_corrupt_read_is_transient_on_v2(self, tmp_path):
         events = make_events(60)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         plan = FaultPlan([FaultRule("corrupt_read", path="part-00000")])
         ctx = EngineContext(default_parallelism=4, fault_plan=plan)
         try:
@@ -392,16 +400,17 @@ class TestReadBlockRegressions:
     def test_read_block_indexed_returns_mmap_boxtable(self, tmp_path):
         events = make_events(50)
         ds = save_dataset(
-            tmp_path / "ds", events, "event", num_partitions=1, block_format="v2"
+            tmp_path / "ds", events, "event", num_partitions=1
         )
         meta = ds.metadata().partitions[0]
         records, table = ds.read_block_indexed(meta)
         assert len(records) == len(events)
         assert table is not None
         assert len(table) == len(records)
-        # v1 blocks carry no columnar sidecar.
-        ds1 = save_dataset(tmp_path / "v1", events, "event", num_partitions=1)
-        _, no_table = ds1.read_block_indexed(ds1.metadata().partitions[0])
+        # Unfilterable (pickle-codec checkpoint) blocks carry no table.
+        ck = StDataset.write(tmp_path / "ck", [[{"a": 1}]], "checkpoint", codec="pickle")
+        records, no_table = ck.read_block_indexed(ck.metadata().partitions[0])
+        assert records == [{"a": 1}]
         assert no_table is None
 
 
@@ -410,10 +419,10 @@ class TestOrphanCleanup:
         events = make_events(80)
         parts = [events[i::8] for i in range(8)]
         StDataset.write(tmp_path / "ds", parts, "event")
-        assert len(list((tmp_path / "ds").glob("part-*.pkl"))) == 8
+        assert len(list((tmp_path / "ds").glob("part-*.stb"))) == 8
         StDataset.write(tmp_path / "ds", [events[:40], events[40:]], "event")
         remaining = sorted(p.name for p in (tmp_path / "ds").glob("part-*"))
-        assert remaining == ["part-00000.pkl", "part-00001.pkl"]
+        assert remaining == ["part-00000.stb", "part-00001.stb"]
         meta = StDataset(tmp_path / "ds").metadata()
         assert meta.total_records == len(events)
 
@@ -452,7 +461,7 @@ class TestLoadStats:
 
     def test_thread_backend_load_counts_each_block_once(self, tmp_path):
         events = make_events(200)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         ctx = EngineContext(default_parallelism=8, backend="thread")
         try:
             rdd, stats = StDataset(tmp_path / "ds").read(ctx, use_metadata=False)
@@ -474,7 +483,7 @@ class TestZeroCopyShipping:
 
         events = make_events(200)
         ds = save_dataset(
-            tmp_path / "ds", events, "event", num_partitions=1, block_format="v2"
+            tmp_path / "ds", events, "event", num_partitions=1
         )
         meta = ds.metadata().partitions[0]
         records, table = ds.read_block_indexed(meta)
@@ -498,7 +507,7 @@ class TestServeOverV2:
         from repro.serve.server import DatasetState
 
         events = make_events(150)
-        save_dataset(tmp_path / "ds", events, "event", block_format="v2")
+        save_dataset(tmp_path / "ds", events, "event")
         return events, DatasetState(tmp_path / "ds", **kwargs)
 
     def test_resident_blocks_seed_the_selection_cache(self, tmp_path):
